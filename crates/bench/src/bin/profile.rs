@@ -13,7 +13,7 @@ use std::path::PathBuf;
 
 use mcm_bench::harness::{self, TextTable};
 use mcm_gpu::SystemConfig;
-use mcm_probe::{ChromeTraceProbe, MetricsProbe, StallProfile};
+use mcm_probe::StallProfile;
 use mcm_workloads::suite;
 
 const CONFIG_KEYS: &[&str] = &[
@@ -56,32 +56,18 @@ fn main() {
     let _telemetry = harness::telemetry_guard();
     let spec = spec.scaled(harness::scale());
 
-    let trace_dir = std::env::var_os("MCM_TRACE").map(PathBuf::from);
-    let metrics_dir = std::env::var_os("MCM_METRICS").map(PathBuf::from);
-    let mut probe = (
-        StallProfile::new(),
-        (
-            trace_dir.as_ref().map(|_| ChromeTraceProbe::new()),
-            metrics_dir
-                .as_ref()
-                .map(|_| MetricsProbe::new(harness::metrics_bucket(), cfg.topology.sms_per_module)),
-        ),
-    );
-    let report = harness::run_probed_env_faults(&cfg, &spec, &mut probe);
-    let (profile, (mut trace, metrics)) = probe;
-
     let stem = harness::artifact_stem(&cfg, &spec);
-    if let (Some(dir), Some(trace)) = (&trace_dir, &mut trace) {
-        std::fs::create_dir_all(dir).expect("create MCM_TRACE directory");
-        let path = dir.join(format!("{stem}.trace.json"));
-        trace.save(&path).expect("write Chrome trace");
-        println!("trace:   {}", path.display());
-    }
-    if let (Some(dir), Some(metrics)) = (&metrics_dir, &metrics) {
-        std::fs::create_dir_all(dir).expect("create MCM_METRICS directory");
-        let path = dir.join(format!("{stem}.metrics.csv"));
-        metrics.save(&path).expect("write metrics CSV");
-        println!("metrics: {}", path.display());
+    let mut profile = StallProfile::new();
+    let report =
+        harness::run_instrumented_with(&cfg, &spec, &mut profile, harness::env_fault_plan(), &stem);
+    for (var, ext, label) in [
+        ("MCM_TRACE", "trace.json", "trace:  "),
+        ("MCM_METRICS", "metrics.csv", "metrics:"),
+    ] {
+        if let Some(dir) = std::env::var_os(var) {
+            let path = PathBuf::from(dir).join(format!("{stem}.{ext}"));
+            println!("{label} {}", path.display());
+        }
     }
 
     println!(

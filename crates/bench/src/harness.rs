@@ -9,7 +9,7 @@ use std::sync::OnceLock;
 use mcm_engine::rng::StableHasher;
 use mcm_engine::stats::geomean;
 use mcm_exec::pool::{panic_message, TaskFailure};
-use mcm_fault::{FaultConfig, FaultPlan, NullFaultPlan, SeededFaultPlan};
+use mcm_fault::{FaultConfig, NullFaultPlan, SeededFaultPlan};
 use mcm_gpu::{RunReport, Simulator, SystemConfig};
 use mcm_probe::{ChromeTraceProbe, MetricsProbe, NullProbe, Probe};
 use mcm_store::Store;
@@ -716,9 +716,7 @@ pub fn artifact_stem(cfg: &SystemConfig, spec: &WorkloadSpec) -> String {
 /// [`mcm_probe::NullProbe`] path monomorphizes to no instrumentation.
 ///
 /// Fault injection is selected by `MCM_FAULT_RATE` (see
-/// [`fault_rate`]): a positive rate runs under a
-/// [`SeededFaultPlan`] seeded from `MCM_FAULT_SEED`; the default 0.0
-/// keeps the zero-overhead [`NullFaultPlan`] path.
+/// [`env_fault_plan`]).
 ///
 /// # Panics
 ///
@@ -729,115 +727,88 @@ pub fn run_instrumented(cfg: &SystemConfig, spec: &WorkloadSpec) -> RunReport {
     // is set): the deterministic crash the supervised executor is
     // exercised against.
     mcm_fault::inject::scripted_task_panic(&cfg.name, spec.name);
-    let rate = fault_rate();
-    if rate > 0.0 {
-        let mut plan = SeededFaultPlan::new(FaultConfig::with_rate(fault_seed(), rate));
-        run_instrumented_faulted(cfg, spec, &mut plan)
-    } else {
-        run_instrumented_faulted(cfg, spec, &mut NullFaultPlan)
-    }
+    let stem = artifact_stem(cfg, spec);
+    run_instrumented_with(cfg, spec, &mut NullProbe, env_fault_plan(), &stem)
 }
 
-/// Runs one (already scaled) workload on `cfg` under a caller-supplied
-/// probe, with fault injection selected by the environment exactly as
-/// in [`run_instrumented`]: a positive `MCM_FAULT_RATE` runs under a
-/// [`SeededFaultPlan`] seeded from `MCM_FAULT_SEED`, otherwise the
-/// zero-overhead [`NullFaultPlan`] path. For binaries (like `profile`)
-/// that assemble their own sink stacks instead of using the
-/// `MCM_TRACE`/`MCM_METRICS` plumbing.
+/// The fault plan the environment selects: a positive `MCM_FAULT_RATE`
+/// (see [`fault_rate`]) gives a [`SeededFaultPlan`] seeded from
+/// `MCM_FAULT_SEED`; the default 0.0 gives `None`, which runs the
+/// zero-overhead [`NullFaultPlan`] path.
 ///
 /// # Panics
 ///
 /// Panics if a fault environment knob holds an invalid value.
-pub fn run_probed_env_faults<P: Probe + Send>(
+pub fn env_fault_plan() -> Option<SeededFaultPlan> {
+    let rate = fault_rate();
+    (rate > 0.0).then(|| SeededFaultPlan::new(FaultConfig::with_rate(fault_seed(), rate)))
+}
+
+/// Runs one (already scaled) workload on `cfg` under `plan` (`None` is
+/// the zero-overhead [`NullFaultPlan`]), streaming events to `probe`
+/// alongside the `MCM_TRACE`/`MCM_METRICS` sinks of
+/// [`run_instrumented`], which write their artifacts under `stem`.
+/// Sweeps that run the *same* `(configuration, workload)` pair under
+/// several fault scenarios (the `resilience` harness) append a scenario
+/// tag to [`artifact_stem`] so the scenarios don't overwrite each
+/// other's files — which also makes those writes safe to run in
+/// parallel.
+///
+/// Runs honour `MCM_SHARDS` (see [`shards`]): the simulation itself is
+/// sharded across cores, with a bit-identical report at every shard
+/// count. Probe-attached runs stay on the serial engine so artifact
+/// event order is trivially canonical; they still go through the
+/// sharded entry point, so the core layer warns loudly (and counts)
+/// when `MCM_SHARDS>1` is being ignored instead of the harness silently
+/// dropping the knob.
+///
+/// # Panics
+///
+/// Panics if an artifact directory cannot be created or written.
+pub fn run_instrumented_with<P: Probe + Send>(
     cfg: &SystemConfig,
     spec: &WorkloadSpec,
     probe: &mut P,
-) -> RunReport {
-    // Routed through the sharded entry point: an active probe always
-    // runs serially, but the core layer then warns loudly (and counts)
-    // when MCM_SHARDS>1 is being ignored instead of silently dropping
-    // the knob.
-    let rate = fault_rate();
-    if rate > 0.0 {
-        let mut plan = SeededFaultPlan::new(FaultConfig::with_rate(fault_seed(), rate));
-        let (report, _) = Simulator::run_faulted_sharded(cfg, spec, probe, &mut plan, shards());
-        report
-    } else {
-        let (report, _) =
-            Simulator::run_faulted_sharded(cfg, spec, probe, &mut NullFaultPlan, shards());
-        report
-    }
-}
-
-/// [`run_instrumented`] under an explicit fault plan (the `resilience`
-/// harness sweeps plans directly; everything else goes through the
-/// environment-selected plan). Trace and metrics sinks attach exactly
-/// as for `run_instrumented`, so fault windows show up in the
-/// artifacts.
-///
-/// # Panics
-///
-/// Panics if an artifact directory cannot be created or written.
-pub fn run_instrumented_faulted<F: FaultPlan + Clone + Send>(
-    cfg: &SystemConfig,
-    spec: &WorkloadSpec,
-    plan: &mut F,
-) -> RunReport {
-    let stem = artifact_stem(cfg, spec);
-    run_instrumented_faulted_stemmed(cfg, spec, plan, &stem)
-}
-
-/// [`run_instrumented_faulted`] writing artifacts under an explicit
-/// `stem` instead of the default [`artifact_stem`]. Sweeps that run the
-/// *same* `(configuration, workload)` pair under several fault
-/// scenarios (the `resilience` harness) append a scenario tag so the
-/// scenarios don't overwrite each other's trace/metrics files — which
-/// also makes those writes safe to run in parallel.
-///
-/// The uninstrumented path (neither `MCM_TRACE` nor `MCM_METRICS` set)
-/// honours `MCM_SHARDS` (see [`shards`]): the simulation itself is
-/// sharded across cores, with a bit-identical report at every shard
-/// count. Probe-attached runs stay on the serial engine so artifact
-/// event order is trivially canonical.
-///
-/// # Panics
-///
-/// Panics if an artifact directory cannot be created or written.
-pub fn run_instrumented_faulted_stemmed<F: FaultPlan + Clone + Send>(
-    cfg: &SystemConfig,
-    spec: &WorkloadSpec,
-    plan: &mut F,
+    plan: Option<SeededFaultPlan>,
     stem: &str,
 ) -> RunReport {
     let trace_dir = std::env::var_os("MCM_TRACE").map(PathBuf::from);
     let metrics_dir = std::env::var_os("MCM_METRICS").map(PathBuf::from);
     if trace_dir.is_none() && metrics_dir.is_none() {
-        let (report, _) = Simulator::run_faulted_sharded(cfg, spec, &mut NullProbe, plan, shards());
-        return report;
+        return run_planned(cfg, spec, probe, plan);
     }
-    let mut probe = (
+    let mut sinks = (
         trace_dir.as_ref().map(|_| ChromeTraceProbe::new()),
         metrics_dir
             .as_ref()
             .map(|_| MetricsProbe::new(metrics_bucket(), cfg.topology.sms_per_module)),
     );
-    // Routed through the sharded entry point even though an active
-    // probe always runs serially: the core layer then warns loudly
-    // (and counts) when MCM_SHARDS>1 is being ignored, instead of the
-    // harness silently dropping the knob.
-    let (report, _) = Simulator::run_faulted_sharded(cfg, spec, &mut probe, plan, shards());
-    if let (Some(dir), Some(trace)) = (&trace_dir, &mut probe.0) {
+    let report = run_planned(cfg, spec, &mut (probe, &mut sinks), plan);
+    if let (Some(dir), Some(trace)) = (&trace_dir, &mut sinks.0) {
         std::fs::create_dir_all(dir).expect("create MCM_TRACE directory");
         let path = dir.join(format!("{stem}.trace.json"));
         trace.save(&path).expect("write Chrome trace");
     }
-    if let (Some(dir), Some(metrics)) = (&metrics_dir, &probe.1) {
+    if let (Some(dir), Some(metrics)) = (&metrics_dir, &sinks.1) {
         std::fs::create_dir_all(dir).expect("create MCM_METRICS directory");
         let path = dir.join(format!("{stem}.metrics.csv"));
         metrics.save(&path).expect("write metrics CSV");
     }
     report
+}
+
+/// [`Simulator::run_with`] at the `MCM_SHARDS` shard count under `plan`
+/// (`None` is [`NullFaultPlan`]).
+fn run_planned<P: Probe + Send>(
+    cfg: &SystemConfig,
+    spec: &WorkloadSpec,
+    probe: &mut P,
+    plan: Option<SeededFaultPlan>,
+) -> RunReport {
+    match plan {
+        Some(mut plan) => Simulator::run_with(cfg, spec, probe, &mut plan, shards()).0,
+        None => Simulator::run_with(cfg, spec, probe, &mut NullFaultPlan, shards()).0,
+    }
 }
 
 /// RAII guard that writes a snapshot of the global telemetry registry

@@ -12,6 +12,7 @@
 
 use mcm_fault::{DeadModule, FaultConfig, SeededFaultPlan};
 use mcm_gpu::{RunReport, SystemConfig};
+use mcm_probe::NullProbe;
 use mcm_workloads::{suite, WorkloadSpec};
 
 use crate::harness::{self, TextTable};
@@ -77,17 +78,9 @@ impl PlannedRun {
             harness::artifact_stem(cfg, &self.spec),
             self.scenario_tag
         );
-        match self.scenario {
-            "healthy" => harness::run_instrumented_faulted_stemmed(
-                cfg,
-                &self.spec,
-                &mut mcm_fault::NullFaultPlan,
-                &stem,
-            ),
-            "transient" => {
-                let mut plan = SeededFaultPlan::new(FaultConfig::with_rate(seed, self.fault_rate));
-                harness::run_instrumented_faulted_stemmed(cfg, &self.spec, &mut plan, &stem)
-            }
+        let plan = match self.scenario {
+            "healthy" => None,
+            "transient" => Some(FaultConfig::with_rate(seed, self.fault_rate)),
             _ => {
                 let mut lossy = FaultConfig {
                     seed,
@@ -97,10 +90,16 @@ impl PlannedRun {
                     module: DEAD_GPM,
                     from_kernel: 0,
                 });
-                let mut plan = SeededFaultPlan::new(lossy);
-                harness::run_instrumented_faulted_stemmed(cfg, &self.spec, &mut plan, &stem)
+                Some(lossy)
             }
-        }
+        };
+        harness::run_instrumented_with(
+            cfg,
+            &self.spec,
+            &mut NullProbe,
+            plan.map(SeededFaultPlan::new),
+            &stem,
+        )
     }
 }
 

@@ -34,11 +34,11 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, Once, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 
 use mcm_engine::Cycle;
 use mcm_exec::barrier::{run_shards, ShardBarrier};
-use mcm_fault::{FaultPlan, NullFaultPlan};
+use mcm_fault::FaultPlan;
 use mcm_mem::page::{PageMap, PlacementPolicy};
 use mcm_probe::{NullProbe, Probe};
 use mcm_sm::{CtaPool, SchedulerPolicy};
@@ -47,7 +47,7 @@ use mcm_workloads::WorkloadSpec;
 
 use crate::config::SystemConfig;
 use crate::report::RunReport;
-use crate::sim::{finish_report, module_interleaved_order, Ev, PoolRef, Req, RunState, Simulator};
+use crate::sim::{finish_report, module_interleaved_order, Ev, PoolRef, Req, RunState};
 
 /// A canonical event coordinate `(time, wave, key)` — the total order
 /// the event queue pops in. Every sequenced global decision is tagged
@@ -280,7 +280,7 @@ pub struct ShardRunStats {
 }
 
 impl ShardRunStats {
-    fn serial() -> Self {
+    pub(crate) fn serial() -> Self {
         ShardRunStats {
             shards: 1,
             epochs: 0,
@@ -334,87 +334,8 @@ struct Ctrl {
     late: u64,
 }
 
-impl Simulator {
-    /// Runs `spec` on `cfg` split across `shards` cores, producing the
-    /// same [`RunReport`] as [`Simulator::run`] bit-for-bit.
-    ///
-    /// `shards` is clamped per [`effective_shards`]; `shards <= 1` (or
-    /// a config with no usable lookahead) runs the serial engine.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration or workload fails validation, or if
-    /// `shards` is zero.
-    pub fn run_sharded(cfg: &SystemConfig, spec: &WorkloadSpec, shards: usize) -> RunReport {
-        Simulator::run_sharded_stats(cfg, spec, shards).0
-    }
-
-    /// Like [`Simulator::run_sharded`], also returning the run's
-    /// [`ShardRunStats`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration or workload fails validation, or if
-    /// `shards` is zero.
-    pub fn run_sharded_stats(
-        cfg: &SystemConfig,
-        spec: &WorkloadSpec,
-        shards: usize,
-    ) -> (RunReport, ShardRunStats) {
-        Simulator::run_faulted_sharded(cfg, spec, &mut NullProbe, &mut NullFaultPlan, shards)
-    }
-
-    /// Runs `spec` on `cfg` across `shards` cores under a fault plan,
-    /// forwarding kernel-boundary hooks to `probe`.
-    ///
-    /// The plan is forked (`Clone`) per shard; deterministic plans (all
-    /// the crate ships) consult pure seeded draws or per-link state
-    /// that sharding partitions exactly, so faulted runs stay
-    /// bit-identical to their serial counterparts. A probe with
-    /// `Probe::ACTIVE == true` observes the *global* event interleaving
-    /// and therefore falls back to the serial engine (reported as
-    /// `shards: 1` in the stats); inactive probes still receive
-    /// `kernel_begin`/`kernel_end`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration or workload fails validation, or if
-    /// `shards` is zero.
-    pub fn run_faulted_sharded<P: Probe + Send, F: FaultPlan + Clone + Send>(
-        cfg: &SystemConfig,
-        spec: &WorkloadSpec,
-        probe: &mut P,
-        plan: &mut F,
-        shards: usize,
-    ) -> (RunReport, ShardRunStats) {
-        assert!(shards >= 1, "need at least one shard");
-        cfg.validate().expect("invalid system configuration");
-        spec.validate().expect("invalid workload spec");
-        let eff = effective_shards(cfg, shards);
-        if P::ACTIVE || eff <= 1 {
-            if P::ACTIVE && eff > 1 {
-                // The caller asked for a sharded run but an active
-                // probe needs the global event stream — say so once,
-                // loudly, instead of silently degrading.
-                shard_tele().probe_fallbacks.inc();
-                static WARN: Once = Once::new();
-                WARN.call_once(|| {
-                    eprintln!(
-                        "mcm-gpu: warning: MCM_SHARDS={shards} requested but an active probe \
-                         observes the global event stream; falling back to the serial engine \
-                         (drop MCM_TRACE/MCM_METRICS or set MCM_SHARDS=1 to silence)"
-                    );
-                });
-            }
-            let report = Simulator::run_faulted(cfg, spec, probe, plan);
-            return (report, ShardRunStats::serial());
-        }
-        run_sharded_inner(cfg, spec, probe, plan, eff)
-    }
-}
-
 /// The sharded engine proper (`eff >= 2`, inactive probe).
-fn run_sharded_inner<P: Probe + Send, F: FaultPlan + Clone + Send>(
+pub(crate) fn run_sharded<P: Probe + Send, F: FaultPlan + Clone + Send>(
     cfg: &SystemConfig,
     spec: &WorkloadSpec,
     probe: &mut P,
@@ -726,6 +647,8 @@ fn run_sharded_inner<P: Probe + Send, F: FaultPlan + Clone + Send>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Simulator;
+    use mcm_fault::NullFaultPlan;
 
     fn quick_spec() -> WorkloadSpec {
         let mut spec = WorkloadSpec::template("quick");
@@ -749,7 +672,8 @@ mod tests {
         let cfg = small_mcm();
         let serial = Simulator::run(&cfg, &spec);
         for shards in [2, 3, 4] {
-            let (report, stats) = Simulator::run_sharded_stats(&cfg, &spec, shards);
+            let (report, stats) =
+                Simulator::run_with(&cfg, &spec, &mut NullProbe, &mut NullFaultPlan, shards);
             assert_eq!(report, serial, "diverged at {shards} shards");
             assert_eq!(stats.shards, shards);
             assert_eq!(stats.late_deliveries, 0);
@@ -769,7 +693,8 @@ mod tests {
         cfg.name = "dsft".into();
         let serial = Simulator::run(&cfg, &spec);
         for shards in [2, 4] {
-            let (report, _) = Simulator::run_sharded_stats(&cfg, &spec, shards);
+            let (report, _) =
+                Simulator::run_with(&cfg, &spec, &mut NullProbe, &mut NullFaultPlan, shards);
             assert_eq!(report, serial, "diverged at {shards} shards");
         }
     }
@@ -783,7 +708,7 @@ mod tests {
         cfg.scheduler = mcm_sm::SchedulerPolicy::Dynamic { group: 4 };
         cfg.name = "dynamic".into();
         let serial = Simulator::run(&cfg, &spec);
-        let (report, _) = Simulator::run_sharded_stats(&cfg, &spec, 4);
+        let (report, _) = Simulator::run_with(&cfg, &spec, &mut NullProbe, &mut NullFaultPlan, 4);
         assert_eq!(report, serial);
     }
 
@@ -805,7 +730,8 @@ mod tests {
         let spec = quick_spec();
         let cfg = small_mcm();
         let serial = Simulator::run(&cfg, &spec);
-        let (report, stats) = Simulator::run_sharded_stats(&cfg, &spec, 99);
+        let (report, stats) =
+            Simulator::run_with(&cfg, &spec, &mut NullProbe, &mut NullFaultPlan, 99);
         assert_eq!(stats.shards, 4, "4 modules cap the team");
         assert_eq!(report, serial);
     }
@@ -813,7 +739,8 @@ mod tests {
     #[test]
     fn message_conservation_holds() {
         let spec = quick_spec();
-        let (_, stats) = Simulator::run_sharded_stats(&small_mcm(), &spec, 4);
+        let (_, stats) =
+            Simulator::run_with(&small_mcm(), &spec, &mut NullProbe, &mut NullFaultPlan, 4);
         assert!(stats.epochs > 0);
         assert!(stats.messages > 0, "a NUMA run must cross shards");
         assert_eq!(stats.late_deliveries, 0);
@@ -823,7 +750,8 @@ mod tests {
     #[test]
     fn event_accounting_and_imbalance_are_sane() {
         let spec = quick_spec();
-        let (_, stats) = Simulator::run_sharded_stats(&small_mcm(), &spec, 4);
+        let (_, stats) =
+            Simulator::run_with(&small_mcm(), &spec, &mut NullProbe, &mut NullFaultPlan, 4);
         assert!(stats.events > 0, "a run pops events");
         assert!(stats.max_shard_events >= stats.min_shard_events);
         assert!(stats.max_shard_events <= stats.events);
@@ -834,7 +762,8 @@ mod tests {
         // side, so the count drifts slightly with the partition. It is
         // still deterministic for a fixed shard count (pinned by the
         // telemetry determinism suite) and stays in the same ballpark.
-        let (_, stats2) = Simulator::run_sharded_stats(&small_mcm(), &spec, 2);
+        let (_, stats2) =
+            Simulator::run_with(&small_mcm(), &spec, &mut NullProbe, &mut NullFaultPlan, 2);
         let (lo, hi) = (
             stats.events.min(stats2.events),
             stats.events.max(stats2.events),

@@ -32,6 +32,8 @@
 //! page mappings persist across launches — the cross-kernel locality of
 //! §5.3.
 
+use std::sync::Once;
+
 use mcm_engine::{Cycle, EventQueue};
 use mcm_fault::{FaultPlan, NullFaultPlan};
 use mcm_mem::addr::{AccessKind, LineAddr, Locality};
@@ -44,7 +46,7 @@ use mcm_workloads::WorkloadSpec;
 
 use crate::config::SystemConfig;
 use crate::report::RunReport;
-use crate::shard::{Msg, ShardCtx};
+use crate::shard::{effective_shards, run_sharded, shard_tele, Msg, ShardCtx, ShardRunStats};
 
 /// `fault.gpm.resteal_kernels`: kernel launches that restole CTAs away
 /// from newly disabled modules. Fires once per launch in both the
@@ -270,57 +272,98 @@ impl Simulator {
     /// Panics if either the configuration or the workload fails
     /// validation.
     pub fn run(cfg: &SystemConfig, spec: &WorkloadSpec) -> RunReport {
-        Simulator::run_probed(cfg, spec, &mut NullProbe)
+        Simulator::run_with(cfg, spec, &mut NullProbe, &mut NullFaultPlan, 1).0
     }
 
     /// Runs `spec` to completion on `cfg`, streaming fine-grained
-    /// events to `probe`.
-    ///
-    /// Probes are passive observers: the timing model never consults
-    /// them, so an instrumented run is cycle-identical to
-    /// [`Simulator::run`]. With [`NullProbe`] (whose
-    /// [`Probe::ACTIVE`] is `false`) every hook call and every
-    /// argument-preparation branch monomorphizes away, so `run` pays
-    /// nothing for the instrumentation points.
+    /// events to `probe` (see [`Simulator::run_with`]).
     ///
     /// # Panics
     ///
     /// Panics if either the configuration or the workload fails
     /// validation.
-    pub fn run_probed<P: Probe>(
+    pub fn run_probed<P: Probe + Send>(
         cfg: &SystemConfig,
         spec: &WorkloadSpec,
         probe: &mut P,
     ) -> RunReport {
-        Simulator::run_faulted(cfg, spec, probe, &mut NullFaultPlan)
+        Simulator::run_with(cfg, spec, probe, &mut NullFaultPlan, 1).0
     }
 
-    /// Runs `spec` to completion on `cfg` under a fault plan, streaming
-    /// fine-grained events (including [`FaultEvent`]s) to `probe`.
-    ///
-    /// The plan is consulted at every link traversal (transient CRC
-    /// errors → retransmit with backoff), every DRAM access (thermal
-    /// throttle windows), every read completion (poisoned MSHR fill →
-    /// one bounded replay), and every kernel launch (hard GPM loss →
-    /// the CTA scheduler resteals the dead modules' work onto
-    /// survivors). With [`NullFaultPlan`] (whose
-    /// [`FaultPlan::ACTIVE`] is `false`) every consultation
-    /// monomorphizes away and the run is cycle-identical to
-    /// [`Simulator::run`].
+    /// Runs `spec` on `cfg` split across `shards` cores, producing the
+    /// same [`RunReport`] as [`Simulator::run`] bit-for-bit (see
+    /// [`Simulator::run_with`]).
     ///
     /// # Panics
     ///
     /// Panics if the configuration or workload fails validation, or if
-    /// the plan disables every module of the machine.
-    pub fn run_faulted<P: Probe, F: FaultPlan>(
+    /// `shards` is zero.
+    pub fn run_sharded(cfg: &SystemConfig, spec: &WorkloadSpec, shards: usize) -> RunReport {
+        Simulator::run_with(cfg, spec, &mut NullProbe, &mut NullFaultPlan, shards).0
+    }
+
+    /// Runs `spec` to completion on `cfg` across `shards` cores under
+    /// fault plan `plan`, streaming fine-grained events (including
+    /// [`FaultEvent`]s) to `probe`; also returns the run's
+    /// [`ShardRunStats`].
+    ///
+    /// Probes are passive observers: the timing model never consults
+    /// them, so an instrumented run is cycle-identical to
+    /// [`Simulator::run`]. The plan is consulted at every link
+    /// traversal (transient CRC errors → retransmit with backoff),
+    /// every DRAM access (thermal throttle windows), every read
+    /// completion (poisoned MSHR fill → one bounded replay), and every
+    /// kernel launch (hard GPM loss → the CTA scheduler resteals the
+    /// dead modules' work onto survivors). With [`NullProbe`] and
+    /// [`NullFaultPlan`] (whose `ACTIVE` consts are `false`) every hook
+    /// call and every consultation monomorphizes away, so `run` pays
+    /// nothing for them.
+    ///
+    /// `shards` is clamped per [`effective_shards`]; `shards <= 1` (or
+    /// a config with no usable lookahead) runs the serial engine. The
+    /// plan is forked (`Clone`) per shard; deterministic plans (all the
+    /// crate ships) consult pure seeded draws or per-link state that
+    /// sharding partitions exactly, so faulted runs stay bit-identical
+    /// to their serial counterparts. A probe with `Probe::ACTIVE ==
+    /// true` observes the *global* event interleaving and therefore
+    /// falls back to the serial engine (reported as `shards: 1` in the
+    /// stats); inactive probes still receive `kernel_begin`/`kernel_end`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the configuration or workload fails validation, if
+    /// `shards` is zero, or if the plan disables every module of the
+    /// machine.
+    pub fn run_with<P: Probe + Send, F: FaultPlan + Clone + Send>(
         cfg: &SystemConfig,
         spec: &WorkloadSpec,
         probe: &mut P,
         plan: &mut F,
-    ) -> RunReport {
+        shards: usize,
+    ) -> (RunReport, ShardRunStats) {
+        assert!(shards >= 1, "need at least one shard");
         cfg.validate().expect("invalid system configuration");
         spec.validate().expect("invalid workload spec");
-        run_serial(cfg, spec, probe, plan)
+        let eff = effective_shards(cfg, shards);
+        if P::ACTIVE && eff > 1 {
+            // The caller asked for a sharded run but an active probe
+            // needs the global event stream — say so once, loudly,
+            // instead of silently degrading.
+            shard_tele().probe_fallbacks.inc();
+            static WARN: Once = Once::new();
+            WARN.call_once(|| {
+                eprintln!(
+                    "mcm-gpu: warning: MCM_SHARDS={shards} requested but an active probe \
+                     observes the global event stream; falling back to the serial engine \
+                     (drop MCM_TRACE/MCM_METRICS or set MCM_SHARDS=1 to silence)"
+                );
+            });
+        }
+        if P::ACTIVE || eff <= 1 {
+            let report = run_serial(cfg, spec, probe, plan);
+            return (report, ShardRunStats::serial());
+        }
+        run_sharded(cfg, spec, probe, plan, eff)
     }
 }
 
@@ -835,9 +878,9 @@ impl<'a, P: Probe, F: FaultPlan> RunState<'a, P, F> {
     /// only advance the warp's `resume_at`; misses raise `outstanding`.
     fn issue_load(&mut self, warp: &mut WarpRt, widx: u32, t: Cycle, line: LineAddr) -> bool {
         let sm = warp.sm as usize;
-        let (_, outcome) =
-            self.sys
-                .l1_access_probed(t, sm, line, AccessKind::Read, &mut self.probe);
+        let (_, outcome) = self
+            .sys
+            .l1_access(t, sm, line, AccessKind::Read, &mut self.probe);
         match outcome {
             CacheOutcome::Hit { ready_at } => {
                 warp.resume_at = warp.resume_at.max(ready_at);
@@ -873,13 +916,8 @@ impl<'a, P: Probe, F: FaultPlan> RunState<'a, P, F> {
                         origin_slot: 0, // stamped by alloc_req
                     });
                     self.waiters[ridx as usize].push(widx);
-                    self.sys.mshr_mut(sm).reserve_probed(
-                        line,
-                        u64::from(ridx),
-                        warp.sm,
-                        t,
-                        &mut self.probe,
-                    );
+                    self.sys
+                        .mshr_reserve(t, sm, line, u64::from(ridx), &mut self.probe);
                     if P::ACTIVE {
                         warp.wait_loc = locality;
                         // Stamped at the departure event, so the trace
@@ -914,9 +952,9 @@ impl<'a, P: Probe, F: FaultPlan> RunState<'a, P, F> {
     /// event chain. Returns the time at which the warp may continue.
     fn issue_store(&mut self, warp: &WarpRt, t: Cycle, line: LineAddr) -> Cycle {
         let sm = warp.sm as usize;
-        let (issued, outcome) =
-            self.sys
-                .l1_access_probed(t, sm, line, AccessKind::Write, &mut self.probe);
+        let (issued, outcome) = self
+            .sys
+            .l1_access(t, sm, line, AccessKind::Write, &mut self.probe);
         let depart = match outcome {
             CacheOutcome::Hit { ready_at } | CacheOutcome::Miss { ready_at, .. } => ready_at,
             CacheOutcome::Bypass => issued,
@@ -1006,7 +1044,7 @@ impl<'a, P: Probe, F: FaultPlan> RunState<'a, P, F> {
                         AccessKind::Write
                     };
                     let mut t = now;
-                    match self.sys.l15_access_probed(
+                    match self.sys.l15_access(
                         now,
                         module,
                         req.line,
@@ -1029,7 +1067,7 @@ impl<'a, P: Probe, F: FaultPlan> RunState<'a, P, F> {
                         }
                         L15Outcome::NotPresent => {}
                     }
-                    let out = self.sys.fabric_out_probed(t, module, &mut self.probe);
+                    let out = self.sys.fabric_out(t, module, &mut self.probe);
                     if module == usize::from(req.home) {
                         req.stage = Stage::AtMem;
                     } else {
@@ -1045,7 +1083,7 @@ impl<'a, P: Probe, F: FaultPlan> RunState<'a, P, F> {
                 }
                 Stage::ToHome { at, dir, left } => {
                     let bytes = req.request_bytes();
-                    let (next, arrival) = self.sys.ring_hop_faulted(
+                    let (next, arrival) = self.sys.ring_hop(
                         now,
                         usize::from(at),
                         usize::from(req.home),
@@ -1069,7 +1107,7 @@ impl<'a, P: Probe, F: FaultPlan> RunState<'a, P, F> {
                 Stage::AtMem => {
                     let home = usize::from(req.home);
                     if req.is_read {
-                        let ready = self.sys.mem_read_faulted(
+                        let ready = self.sys.mem_read(
                             now,
                             home,
                             req.line,
@@ -1091,7 +1129,7 @@ impl<'a, P: Probe, F: FaultPlan> RunState<'a, P, F> {
                             return;
                         }
                     } else {
-                        self.sys.mem_write_faulted(
+                        self.sys.mem_write(
                             now,
                             home,
                             req.line,
@@ -1108,7 +1146,7 @@ impl<'a, P: Probe, F: FaultPlan> RunState<'a, P, F> {
                     }
                 }
                 Stage::ToRequester { at, dir, left } => {
-                    let (next, arrival) = self.sys.ring_hop_faulted(
+                    let (next, arrival) = self.sys.ring_hop(
                         now,
                         usize::from(at),
                         usize::from(req.module),
@@ -1273,10 +1311,7 @@ impl<'a, P: Probe, F: FaultPlan> RunState<'a, P, F> {
             self.sys.l15_fill(usize::from(req.module), req.line, ready);
         }
         self.sys.l1_fill(sm, req.line, ready);
-        let released =
-            self.sys
-                .mshr_mut(sm)
-                .release_probed(req.line, req.sm, ready, &mut self.probe);
+        let released = self.sys.mshr_release(ready, sm, req.line, &mut self.probe);
         debug_assert_eq!(released, Some(u64::from(ridx)));
         if P::ACTIVE {
             self.probe.request_retired(req.id, ready);
@@ -1508,7 +1543,7 @@ mod tests {
         let spec = quick_spec();
         let cfg = small_mcm();
         let plain = Simulator::run(&cfg, &spec);
-        let faulted = Simulator::run_faulted(&cfg, &spec, &mut NullProbe, &mut NullFaultPlan);
+        let faulted = Simulator::run_with(&cfg, &spec, &mut NullProbe, &mut NullFaultPlan, 1).0;
         assert_eq!(plain, faulted);
     }
 
@@ -1522,7 +1557,7 @@ mod tests {
         let plain = Simulator::run(&cfg, &spec);
         let mut plan =
             mcm_fault::SeededFaultPlan::new(mcm_fault::FaultConfig::with_rate(0x5EED, 0.0));
-        let faulted = Simulator::run_faulted(&cfg, &spec, &mut NullProbe, &mut plan);
+        let faulted = Simulator::run_with(&cfg, &spec, &mut NullProbe, &mut plan, 1).0;
         assert_eq!(plain, faulted);
     }
 
@@ -1544,7 +1579,7 @@ mod tests {
             ..mcm_fault::FaultConfig::default()
         };
         let mut plan = mcm_fault::SeededFaultPlan::new(fc);
-        let degraded = Simulator::run_faulted(&cfg, &spec, &mut NullProbe, &mut plan);
+        let degraded = Simulator::run_with(&cfg, &spec, &mut NullProbe, &mut plan, 1).0;
         assert_eq!(degraded.instructions, spec.approx_instructions());
         assert!(
             degraded.cycles > healthy.cycles,
@@ -1572,7 +1607,7 @@ mod tests {
             ..mcm_fault::FaultConfig::default()
         };
         let mut plan = mcm_fault::SeededFaultPlan::new(fc);
-        let degraded = Simulator::run_faulted(&cfg, &spec, &mut NullProbe, &mut plan);
+        let degraded = Simulator::run_with(&cfg, &spec, &mut NullProbe, &mut plan, 1).0;
         assert_eq!(degraded.instructions, spec.approx_instructions());
         assert!(degraded.cycles > healthy.cycles);
     }
@@ -1580,6 +1615,7 @@ mod tests {
     #[test]
     fn poisoned_fills_replay_without_reissuing_instructions() {
         /// Poisons every fill's first arrival.
+        #[derive(Clone)]
         struct PoisonAll;
         impl FaultPlan for PoisonAll {
             fn poison_fill(&mut self, _id: u64) -> bool {
@@ -1590,7 +1626,7 @@ mod tests {
         spec.kernel_iters = 1;
         let cfg = small_mcm();
         let healthy = Simulator::run(&cfg, &spec);
-        let poisoned = Simulator::run_faulted(&cfg, &spec, &mut NullProbe, &mut PoisonAll);
+        let poisoned = Simulator::run_with(&cfg, &spec, &mut NullProbe, &mut PoisonAll, 1).0;
         // The MSHR entry survives the replay, so no warp re-issues: the
         // instruction count is exact, only the cycles grow.
         assert_eq!(poisoned.instructions, spec.approx_instructions());

@@ -24,6 +24,7 @@
 
 use mcm_engine::stats::{Counter, Ratio};
 use mcm_engine::Cycle;
+use mcm_fault::FaultPlan;
 use mcm_interconnect::energy::EnergyLedger;
 use mcm_interconnect::mesh::Fabric;
 use mcm_interconnect::ring::{NodeId, RingDir};
@@ -33,7 +34,7 @@ use mcm_mem::cache::{AllocFilter, CacheConfig, CacheOutcome, SetAssocCache, Writ
 use mcm_mem::dram::{DramConfig, DramPartition};
 use mcm_mem::mshr::Mshr;
 use mcm_mem::page::PageMap;
-use mcm_probe::{NullProbe, Probe};
+use mcm_probe::{FaultEvent, LinkId, Probe};
 use mcm_sm::SmCore;
 
 use crate::config::SystemConfig;
@@ -67,6 +68,50 @@ const L2_BANDWIDTH_PER_DRAM_GBPS: f64 = 2.67;
 /// scales with its SM count, as monolithic dies scale their fabric
 /// (effectively never the bottleneck, matching §4's assumption).
 const XBAR_BANDWIDTH_PER_SM: f64 = 64.0;
+
+/// `fault.link.transfers_recovered`: link transfers that took at least
+/// one transient error and still landed. Out-of-band; only faulted
+/// builds (`F::ACTIVE`) ever touch it.
+fn link_recovered_counter() -> &'static mcm_telemetry::Counter {
+    static TELE: std::sync::OnceLock<mcm_telemetry::Counter> = std::sync::OnceLock::new();
+    TELE.get_or_init(|| {
+        mcm_telemetry::global().counter(
+            "fault.link.transfers_recovered",
+            mcm_telemetry::Class::Deterministic,
+        )
+    })
+}
+
+/// Reports a cache's hit/miss decision to `probe` under the cache's
+/// configured name and `unit` (SM for private caches, module for shared
+/// ones). Bypasses and disabled-cache accesses never touch the tag
+/// array, carry no hit-rate signal, and are not reported.
+fn report_cache<P: Probe>(
+    probe: &mut P,
+    cache: &SetAssocCache,
+    unit: usize,
+    now: Cycle,
+    outcome: CacheOutcome,
+) {
+    if P::ACTIVE && !cache.is_disabled() {
+        let hit = match outcome {
+            CacheOutcome::Hit { .. } => true,
+            CacheOutcome::Miss { .. } => false,
+            CacheOutcome::Bypass => return,
+        };
+        probe.cache_access(cache.config().name, unit as u32, now, hit);
+    }
+}
+
+/// Reports `sm`'s MSHR occupancy to `probe`.
+fn report_mshr<P: Probe>(probe: &mut P, mshr: &Mshr, sm: usize, now: Cycle) {
+    probe.mshr_occupancy(
+        sm as u32,
+        now,
+        mshr.outstanding() as u32,
+        mshr.capacity() as u32,
+    );
+}
 
 /// What the L1.5 stage decided for an access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -279,20 +324,9 @@ impl McmSystem {
     /// Stage 0 (warp side): issues the memory instruction and probes the
     /// L1. Returns `(issued, outcome)`: `issued` is when the instruction
     /// has left the SM's issue stage (a store lets its warp continue
-    /// then), `outcome` the L1 decision.
-    pub fn l1_access(
-        &mut self,
-        now: Cycle,
-        sm: usize,
-        line: LineAddr,
-        kind: AccessKind,
-    ) -> (Cycle, CacheOutcome) {
-        self.l1_access_probed(now, sm, line, kind, &mut NullProbe)
-    }
-
-    /// [`McmSystem::l1_access`] reporting the L1 hit/miss to `probe`
+    /// then), `outcome` the L1 decision, which is reported to `probe`
     /// (unit = global SM index).
-    pub fn l1_access_probed<P: Probe>(
+    pub fn l1_access<P: Probe>(
         &mut self,
         now: Cycle,
         sm: usize,
@@ -305,10 +339,9 @@ impl McmSystem {
             AccessKind::Write => self.writes.inc(),
         }
         let t0 = self.sms[sm].issue_mem_op(now);
-        (
-            t0,
-            self.l1s[sm].access_probed(t0, line, kind, Locality::Local, sm as u32, probe),
-        )
+        let outcome = self.l1s[sm].access(t0, line, kind, Locality::Local);
+        report_cache(probe, &self.l1s[sm], sm, t0, outcome);
+        (t0, outcome)
     }
 
     /// Installs a returned line into an SM's L1, available at `ready`.
@@ -316,22 +349,44 @@ impl McmSystem {
         self.l1s[sm].fill(line, ready, false);
     }
 
-    /// Stage 1 (module side): probes the GPM-side L1.5.
-    pub fn l15_access(
+    /// Reserves an entry of `sm`'s MSHR binding `line` to `request`
+    /// (after [`MshrLookup::CanIssue`](mcm_mem::mshr::MshrLookup)),
+    /// reporting the table's new occupancy to `probe`.
+    pub fn mshr_reserve<P: Probe>(
         &mut self,
         now: Cycle,
-        module: usize,
+        sm: usize,
         line: LineAddr,
-        kind: AccessKind,
-        locality: Locality,
-    ) -> L15Outcome {
-        self.l15_access_probed(now, module, line, kind, locality, &mut NullProbe)
+        request: u64,
+        probe: &mut P,
+    ) {
+        self.mshrs[sm].reserve(line, request);
+        if P::ACTIVE {
+            report_mshr(probe, &self.mshrs[sm], sm, now);
+        }
     }
 
-    /// [`McmSystem::l15_access`] reporting the L1.5 hit/miss to `probe`
-    /// (unit = module index; filtered and disabled accesses are
-    /// invisible).
-    pub fn l15_access_probed<P: Probe>(
+    /// Releases `sm`'s MSHR entry for `line`, returning the request id
+    /// it was bound to; an entry actually freed reports the table's new
+    /// occupancy to `probe`.
+    pub fn mshr_release<P: Probe>(
+        &mut self,
+        now: Cycle,
+        sm: usize,
+        line: LineAddr,
+        probe: &mut P,
+    ) -> Option<u64> {
+        let released = self.mshrs[sm].release(line);
+        if P::ACTIVE && released.is_some() {
+            report_mshr(probe, &self.mshrs[sm], sm, now);
+        }
+        released
+    }
+
+    /// Stage 1 (module side): probes the GPM-side L1.5, reporting the
+    /// hit/miss to `probe` (unit = module index; filtered and disabled
+    /// accesses are invisible).
+    pub fn l15_access<P: Probe>(
         &mut self,
         now: Cycle,
         module: usize,
@@ -343,7 +398,9 @@ impl McmSystem {
         if self.l15s[module].is_disabled() {
             return L15Outcome::NotPresent;
         }
-        match self.l15s[module].access_probed(now, line, kind, locality, module as u32, probe) {
+        let outcome = self.l15s[module].access(now, line, kind, locality);
+        report_cache(probe, &self.l15s[module], module, now, outcome);
+        match outcome {
             CacheOutcome::Bypass => L15Outcome::NotPresent,
             CacheOutcome::Hit { ready_at } => L15Outcome::Hit { ready_at },
             CacheOutcome::Miss { allocate, ready_at } => L15Outcome::Miss {
@@ -362,20 +419,14 @@ impl McmSystem {
     }
 
     /// Stage 2: crosses the module's crossbar toward the memory side;
-    /// returns when the message leaves the module's fabric.
-    pub fn fabric_out(&mut self, now: Cycle, module: usize) -> Cycle {
-        self.fabric_out_probed(now, module, &mut NullProbe)
-    }
-
-    /// [`McmSystem::fabric_out`] reporting the crossbar traffic to
-    /// `probe`.
-    pub fn fabric_out_probed<P: Probe>(
-        &mut self,
-        now: Cycle,
-        module: usize,
-        probe: &mut P,
-    ) -> Cycle {
-        self.xbars[module].transfer_probed(now, LINE_BYTES, module as u32, probe)
+    /// returns when the message leaves the module's fabric. The traffic
+    /// is reported to `probe`.
+    pub fn fabric_out<P: Probe>(&mut self, now: Cycle, module: usize, probe: &mut P) -> Cycle {
+        let done = self.xbars[module].transfer(now, LINE_BYTES);
+        if P::ACTIVE {
+            probe.xbar_transfer(module as u32, now, LINE_BYTES);
+        }
+        done
     }
 
     /// The shortest ring route between two modules.
@@ -387,44 +438,15 @@ impl McmSystem {
     /// ring; direct on a fully connected fabric), carrying `bytes`;
     /// returns `(next_node, arrival)`. Issue exactly one hop per
     /// simulation event so link queues stay causally ordered.
-    pub fn ring_hop(
-        &mut self,
-        now: Cycle,
-        node: usize,
-        to: usize,
-        dir: RingDir,
-        bytes: u64,
-    ) -> (usize, Cycle) {
-        self.ring_hop_probed(now, node, to, dir, bytes, &mut NullProbe)
-    }
-
-    /// [`McmSystem::ring_hop`] reporting the traversed link's identity
-    /// and bytes to `probe`.
-    pub fn ring_hop_probed<P: Probe>(
-        &mut self,
-        now: Cycle,
-        node: usize,
-        to: usize,
-        dir: RingDir,
-        bytes: u64,
-        probe: &mut P,
-    ) -> (usize, Cycle) {
-        self.ring_hop_faulted(
-            now,
-            node,
-            to,
-            dir,
-            bytes,
-            probe,
-            &mut mcm_fault::NullFaultPlan,
-        )
-    }
-
-    /// [`McmSystem::ring_hop_probed`] additionally consulting `plan`
-    /// for transient link errors (CRC retransmit with backoff). With an
-    /// inactive plan this is exactly `ring_hop_probed`.
+    ///
+    /// The traversed link's identity, bytes and arrival are reported to
+    /// `probe`. `plan` is consulted for transient CRC errors: an errored
+    /// attempt occupies the link (the corrupt flits really crossed the
+    /// wire), then retransmits on the same link after a capped
+    /// exponential backoff, up to the plan's retry budget. Each retry is
+    /// reported as a [`FaultEvent::LinkRetry`].
     #[allow(clippy::too_many_arguments)]
-    pub fn ring_hop_faulted<P: Probe, F: mcm_fault::FaultPlan>(
+    pub fn ring_hop<P: Probe, F: FaultPlan>(
         &mut self,
         now: Cycle,
         node: usize,
@@ -434,55 +456,67 @@ impl McmSystem {
         probe: &mut P,
         plan: &mut F,
     ) -> (usize, Cycle) {
-        let (next, t) = self.ring.hop_faulted(
-            now,
-            NodeId(node as u8),
-            NodeId(to as u8),
-            dir,
-            bytes,
-            probe,
-            plan,
-        );
-        (next.as_usize(), t)
+        let (from, dest) = (NodeId(node as u8), NodeId(to as u8));
+        let (next, mut arrival) = self.ring.hop(now, from, dest, dir, bytes);
+        if !(P::ACTIVE || F::ACTIVE) {
+            return (next.as_usize(), arrival);
+        }
+        let Some(link) = self.link_id(node, to, dir) else {
+            // A free self-transfer crosses no link.
+            return (next.as_usize(), arrival);
+        };
+        let (mut t, mut attempt) = (now, 0);
+        loop {
+            if P::ACTIVE {
+                probe.link_transfer(link, t, bytes, arrival);
+            }
+            if !F::ACTIVE || attempt >= plan.link_max_retries() || !plan.link_error(link, attempt) {
+                if attempt > 0 {
+                    // The transfer errored at least once and still
+                    // landed: a recovery, whether by clean retransmit
+                    // or by exhausting the retry budget.
+                    link_recovered_counter().inc();
+                }
+                return (next.as_usize(), arrival);
+            }
+            if P::ACTIVE {
+                probe.fault(arrival, FaultEvent::LinkRetry { link, attempt });
+            }
+            t = arrival + plan.link_backoff(attempt);
+            attempt += 1;
+            arrival = self.ring.hop(t, from, dest, dir, bytes).1;
+        }
+    }
+
+    /// The link a hop from `node` toward `to` in direction `dir`
+    /// crosses, or `None` for a free self-transfer. A clockwise ring hop
+    /// at node `i` crosses the segment carrying `i → i + 1`; a
+    /// counter-clockwise one the segment carrying `i → i - 1`, which
+    /// [`LinkId::RingCcw`] names by its lower node `i - 1`.
+    fn link_id(&self, node: usize, to: usize, dir: RingDir) -> Option<LinkId> {
+        let n = self.modules;
+        let a = node % n;
+        match (&self.ring, dir) {
+            (Fabric::Ring(_), RingDir::Clockwise) => Some(LinkId::RingCw(a as u8)),
+            (Fabric::Ring(_), RingDir::CounterClockwise) => {
+                Some(LinkId::RingCcw(((a + n - 1) % n) as u8))
+            }
+            (Fabric::FullyConnected(_), _) => {
+                let b = to % n;
+                (a != b).then_some(LinkId::Mesh {
+                    from: a as u8,
+                    to: b as u8,
+                })
+            }
+        }
     }
 
     /// Stage 3 (read): accesses the home memory partition — L2, then
     /// DRAM on a miss — and returns when the line is available at the
-    /// home module.
-    pub fn mem_read(
-        &mut self,
-        now: Cycle,
-        home: usize,
-        line: LineAddr,
-        locality: Locality,
-    ) -> Cycle {
-        self.mem_read_probed(now, home, line, locality, &mut NullProbe)
-    }
-
-    /// [`McmSystem::mem_read`] reporting the L2 hit/miss and any DRAM
-    /// traffic (demand fill and dirty writeback) to `probe`.
-    pub fn mem_read_probed<P: Probe>(
-        &mut self,
-        now: Cycle,
-        home: usize,
-        line: LineAddr,
-        locality: Locality,
-        probe: &mut P,
-    ) -> Cycle {
-        self.mem_read_faulted(
-            now,
-            home,
-            line,
-            locality,
-            probe,
-            &mut mcm_fault::NullFaultPlan,
-        )
-    }
-
-    /// [`McmSystem::mem_read_probed`] additionally consulting `plan`
-    /// for DRAM thermal-throttle windows. With an inactive plan this is
-    /// exactly `mem_read_probed`.
-    pub fn mem_read_faulted<P: Probe, F: mcm_fault::FaultPlan>(
+    /// home module. The L2 hit/miss and any DRAM traffic (demand fill
+    /// and dirty writeback) are reported to `probe`; `plan` may throttle
+    /// the DRAM (see [`McmSystem::dram_access`]).
+    pub fn mem_read<P: Probe, F: FaultPlan>(
         &mut self,
         now: Cycle,
         home: usize,
@@ -491,18 +525,12 @@ impl McmSystem {
         probe: &mut P,
         plan: &mut F,
     ) -> Cycle {
-        let unit = home as u32;
-        match self.l2s[home].access_probed(now, line, AccessKind::Read, locality, unit, probe) {
+        let outcome = self.l2s[home].access(now, line, AccessKind::Read, locality);
+        report_cache(probe, &self.l2s[home], home, now, outcome);
+        match outcome {
             CacheOutcome::Hit { ready_at } => ready_at,
             CacheOutcome::Miss { allocate, ready_at } => {
-                let r = self.drams[home].access_faulted(
-                    ready_at,
-                    line,
-                    AccessKind::Read,
-                    unit,
-                    probe,
-                    plan,
-                );
+                let r = self.dram_access(ready_at, home, line, AccessKind::Read, probe, plan);
                 if allocate {
                     if let Some(ev) = self.l2s[home].fill(line, r, false) {
                         if ev.dirty {
@@ -511,11 +539,11 @@ impl McmSystem {
                             // lands: stamping it at the fill time would
                             // submit a future arrival to the DRAM queue
                             // and ratchet its next-free time.
-                            self.drams[home].access_faulted(
+                            self.dram_access(
                                 ready_at,
+                                home,
                                 ev.line,
                                 AccessKind::Write,
-                                unit,
                                 probe,
                                 plan,
                             );
@@ -531,34 +559,8 @@ impl McmSystem {
     /// Stage 3 (write): absorbs a store into the home memory partition.
     /// The write-back L2 takes it (allocating without fetch on a miss,
     /// as coalesced full-line stores do); dirty evictions spill to DRAM.
-    pub fn mem_write(&mut self, now: Cycle, home: usize, line: LineAddr, locality: Locality) {
-        self.mem_write_probed(now, home, line, locality, &mut NullProbe);
-    }
-
-    /// [`McmSystem::mem_write`] reporting the L2 hit/miss and any DRAM
-    /// traffic to `probe`.
-    pub fn mem_write_probed<P: Probe>(
-        &mut self,
-        now: Cycle,
-        home: usize,
-        line: LineAddr,
-        locality: Locality,
-        probe: &mut P,
-    ) {
-        self.mem_write_faulted(
-            now,
-            home,
-            line,
-            locality,
-            probe,
-            &mut mcm_fault::NullFaultPlan,
-        );
-    }
-
-    /// [`McmSystem::mem_write_probed`] additionally consulting `plan`
-    /// for DRAM thermal-throttle windows. With an inactive plan this is
-    /// exactly `mem_write_probed`.
-    pub fn mem_write_faulted<P: Probe, F: mcm_fault::FaultPlan>(
+    /// Hooks as for [`McmSystem::mem_read`].
+    pub fn mem_write<P: Probe, F: FaultPlan>(
         &mut self,
         now: Cycle,
         home: usize,
@@ -567,36 +569,58 @@ impl McmSystem {
         probe: &mut P,
         plan: &mut F,
     ) {
-        let unit = home as u32;
-        match self.l2s[home].access_probed(now, line, AccessKind::Write, locality, unit, probe) {
+        let outcome = self.l2s[home].access(now, line, AccessKind::Write, locality);
+        report_cache(probe, &self.l2s[home], home, now, outcome);
+        match outcome {
             CacheOutcome::Hit { .. } => {}
             CacheOutcome::Miss { allocate, ready_at } => {
                 if allocate {
                     if let Some(ev) = self.l2s[home].fill(line, ready_at, true) {
                         if ev.dirty {
-                            self.drams[home].access_faulted(
+                            self.dram_access(
                                 ready_at,
+                                home,
                                 ev.line,
                                 AccessKind::Write,
-                                unit,
                                 probe,
                                 plan,
                             );
                         }
                     }
                 } else {
-                    self.drams[home].access_faulted(
-                        ready_at,
-                        line,
-                        AccessKind::Write,
-                        unit,
-                        probe,
-                        plan,
-                    );
+                    self.dram_access(ready_at, home, line, AccessKind::Write, probe, plan);
                 }
             }
             CacheOutcome::Bypass => unreachable!("L2 has no allocation filter"),
         }
+    }
+
+    /// One line of traffic on DRAM partition `home`, reported to
+    /// `probe`. `plan` may have a thermal-throttle window open at `now`:
+    /// the channel occupancy is then stretched by its factor, reported
+    /// as a [`FaultEvent::DramThrottle`].
+    fn dram_access<P: Probe, F: FaultPlan>(
+        &mut self,
+        now: Cycle,
+        home: usize,
+        line: LineAddr,
+        kind: AccessKind,
+        probe: &mut P,
+        plan: &mut F,
+    ) -> Cycle {
+        let module = home as u32;
+        let stretch = if F::ACTIVE {
+            plan.dram_stretch(module, now)
+        } else {
+            1.0
+        };
+        if P::ACTIVE {
+            if stretch > 1.0 {
+                probe.fault(now, FaultEvent::DramThrottle { module, stretch });
+            }
+            probe.dram_access(module, now, LINE_BYTES);
+        }
+        self.drams[home].access_stretched(now, line, kind, stretch)
     }
 
     /// Flushes all private (L1) and GPM-side (L1.5) caches — the
@@ -779,7 +803,10 @@ impl McmSystem {
 mod tests {
     use super::*;
     use crate::config::SystemConfig;
+    use mcm_fault::NullFaultPlan;
+    use mcm_interconnect::mesh::NetworkKind;
     use mcm_mem::page::PlacementPolicy;
+    use mcm_probe::NullProbe;
 
     fn tiny_mcm() -> SystemConfig {
         let mut cfg = SystemConfig::baseline_mcm();
@@ -801,14 +828,14 @@ mod tests {
     fn l1_miss_then_fill_then_hit() {
         let mut sys = McmSystem::new(&tiny_mcm());
         let line = LineAddr::new(123);
-        match sys.l1_access(Cycle::ZERO, 0, line, AccessKind::Read) {
+        match sys.l1_access(Cycle::ZERO, 0, line, AccessKind::Read, &mut NullProbe) {
             (issued, CacheOutcome::Miss { allocate: true, .. }) => {
                 assert!(issued >= Cycle::ZERO);
             }
             (_, other) => panic!("expected cold miss, got {other:?}"),
         }
         sys.l1_fill(0, line, Cycle::new(300));
-        match sys.l1_access(Cycle::new(400), 0, line, AccessKind::Read) {
+        match sys.l1_access(Cycle::new(400), 0, line, AccessKind::Read, &mut NullProbe) {
             (_, CacheOutcome::Hit { ready_at }) => {
                 assert!(ready_at - Cycle::new(400) <= Cycle::new(L1_LATENCY + 2));
             }
@@ -840,7 +867,7 @@ mod tests {
     #[test]
     fn fabric_out_is_xbar_only() {
         let mut sys = McmSystem::new(&tiny_mcm());
-        let t = sys.fabric_out(Cycle::ZERO, 2);
+        let t = sys.fabric_out(Cycle::ZERO, 2, &mut NullProbe);
         assert_eq!(t, Cycle::new(XBAR_LATENCY + 1));
         assert_eq!(sys.inter_module_bytes(), 0);
     }
@@ -851,14 +878,30 @@ mod tests {
         // 0 -> 1: one clockwise hop.
         let (dir, hops) = sys.ring_route(0, 1);
         assert_eq!(hops, 1);
-        let (next, t) = sys.ring_hop(Cycle::ZERO, 0, 1, dir, REQUEST_BYTES);
+        let (next, t) = sys.ring_hop(
+            Cycle::ZERO,
+            0,
+            1,
+            dir,
+            REQUEST_BYTES,
+            &mut NullProbe,
+            &mut NullFaultPlan,
+        );
         assert_eq!(next, 1);
         assert!(t >= Cycle::new(32));
         assert_eq!(sys.inter_module_bytes(), REQUEST_BYTES);
         // Response hop 1 -> 0 carries the full line.
         let (dir_back, hops_back) = sys.ring_route(1, 0);
         assert_eq!(hops_back, 1);
-        let (back, t2) = sys.ring_hop(t, 1, 0, dir_back, LINE_BYTES);
+        let (back, t2) = sys.ring_hop(
+            t,
+            1,
+            0,
+            dir_back,
+            LINE_BYTES,
+            &mut NullProbe,
+            &mut NullFaultPlan,
+        );
         assert_eq!(back, 0);
         assert!(t2 >= t + Cycle::new(32));
         assert_eq!(sys.inter_module_bytes(), REQUEST_BYTES + LINE_BYTES);
@@ -868,9 +911,23 @@ mod tests {
     fn mem_read_pays_dram_on_miss_and_l2_on_hit() {
         let mut sys = McmSystem::new(&tiny_mcm());
         let line = LineAddr::new(40);
-        let miss = sys.mem_read(Cycle::ZERO, 0, line, Locality::Local);
+        let miss = sys.mem_read(
+            Cycle::ZERO,
+            0,
+            line,
+            Locality::Local,
+            &mut NullProbe,
+            &mut NullFaultPlan,
+        );
         assert!(miss >= Cycle::from_ns(100) + Cycle::new(L2_LATENCY));
-        let hit = sys.mem_read(Cycle::new(1000), 0, line, Locality::Local);
+        let hit = sys.mem_read(
+            Cycle::new(1000),
+            0,
+            line,
+            Locality::Local,
+            &mut NullProbe,
+            &mut NullFaultPlan,
+        );
         assert!(hit - Cycle::new(1000) <= Cycle::new(L2_LATENCY + 2));
         assert_eq!(sys.l2_ratio().hits(), 1);
     }
@@ -881,7 +938,14 @@ mod tests {
         cfg.caches.l2_bytes_total = 4 * 32 * 1024;
         let mut sys = McmSystem::new(&cfg);
         for i in 0..4096 {
-            sys.mem_write(Cycle::new(i), 0, LineAddr::new(i * 4), Locality::Local);
+            sys.mem_write(
+                Cycle::new(i),
+                0,
+                LineAddr::new(i * 4),
+                Locality::Local,
+                &mut NullProbe,
+                &mut NullFaultPlan,
+            );
         }
         assert!(sys.dram_bytes() > 0, "dirty evictions must reach DRAM");
     }
@@ -893,15 +957,36 @@ mod tests {
         let mut sys = McmSystem::new(&cfg);
         let line = LineAddr::new(77);
         assert_eq!(
-            sys.l15_access(Cycle::ZERO, 0, line, AccessKind::Read, Locality::Local),
+            sys.l15_access(
+                Cycle::ZERO,
+                0,
+                line,
+                AccessKind::Read,
+                Locality::Local,
+                &mut NullProbe
+            ),
             L15Outcome::NotPresent
         );
-        match sys.l15_access(Cycle::ZERO, 0, line, AccessKind::Read, Locality::Remote) {
+        match sys.l15_access(
+            Cycle::ZERO,
+            0,
+            line,
+            AccessKind::Read,
+            Locality::Remote,
+            &mut NullProbe,
+        ) {
             L15Outcome::Miss { fill: true, .. } => {}
             other => panic!("expected filling miss, got {other:?}"),
         }
         sys.l15_fill(0, line, Cycle::new(500));
-        match sys.l15_access(Cycle::new(600), 0, line, AccessKind::Read, Locality::Remote) {
+        match sys.l15_access(
+            Cycle::new(600),
+            0,
+            line,
+            AccessKind::Read,
+            Locality::Remote,
+            &mut NullProbe,
+        ) {
             L15Outcome::Hit { .. } => {}
             other => panic!("expected hit, got {other:?}"),
         }
@@ -917,7 +1002,8 @@ mod tests {
                 0,
                 LineAddr::new(1),
                 AccessKind::Read,
-                Locality::Remote
+                Locality::Remote,
+                &mut NullProbe
             ),
             L15Outcome::NotPresent
         );
@@ -935,6 +1021,7 @@ mod tests {
             LineAddr::new(9),
             AccessKind::Write,
             Locality::Remote,
+            &mut NullProbe,
         ) {
             L15Outcome::Miss { fill, .. } => assert!(!fill),
             other => panic!("expected miss, got {other:?}"),
@@ -950,11 +1037,18 @@ mod tests {
         sys.l1_fill(0, line, Cycle::ZERO);
         sys.l15_fill(0, line, Cycle::ZERO);
         sys.flush_private_caches();
-        match sys.l1_access(Cycle::new(10), 0, line, AccessKind::Read) {
+        match sys.l1_access(Cycle::new(10), 0, line, AccessKind::Read, &mut NullProbe) {
             (_, CacheOutcome::Miss { .. }) => {}
             (_, other) => panic!("L1 must miss after flush, got {other:?}"),
         }
-        match sys.l15_access(Cycle::new(10), 0, line, AccessKind::Read, Locality::Remote) {
+        match sys.l15_access(
+            Cycle::new(10),
+            0,
+            line,
+            AccessKind::Read,
+            Locality::Remote,
+            &mut NullProbe,
+        ) {
             L15Outcome::Miss { .. } => {}
             other => panic!("L1.5 must miss after flush, got {other:?}"),
         }
@@ -963,13 +1057,299 @@ mod tests {
     #[test]
     fn energy_ledger_reflects_traffic() {
         let mut sys = McmSystem::new(&tiny_mcm());
-        sys.fabric_out(Cycle::ZERO, 0);
+        sys.fabric_out(Cycle::ZERO, 0, &mut NullProbe);
         let (dir, _) = sys.ring_route(0, 1);
-        sys.ring_hop(Cycle::ZERO, 0, 1, dir, REQUEST_BYTES);
-        sys.mem_read(Cycle::ZERO, 1, LineAddr::new(1), Locality::Remote);
+        sys.ring_hop(
+            Cycle::ZERO,
+            0,
+            1,
+            dir,
+            REQUEST_BYTES,
+            &mut NullProbe,
+            &mut NullFaultPlan,
+        );
+        sys.mem_read(
+            Cycle::ZERO,
+            1,
+            LineAddr::new(1),
+            Locality::Remote,
+            &mut NullProbe,
+            &mut NullFaultPlan,
+        );
         let ledger = sys.energy_ledger();
         assert!(ledger.bytes(mcm_interconnect::energy::Tier::Package) > 0);
         assert!(ledger.bytes(mcm_interconnect::energy::Tier::Chip) > 0);
         assert!(ledger.dram_joules() > 0.0);
+    }
+
+    /// Records every hook the stage primitives emit, rendered as text.
+    #[derive(Default)]
+    struct Log(Vec<String>);
+
+    impl Probe for Log {
+        fn cache_access(&mut self, cache: &'static str, unit: u32, _now: Cycle, hit: bool) {
+            let what = if hit { "hit" } else { "miss" };
+            self.0.push(format!("{cache}@{unit} {what}"));
+        }
+        fn mshr_occupancy(&mut self, sm: u32, _now: Cycle, outstanding: u32, capacity: u32) {
+            self.0.push(format!("mshr@{sm} {outstanding}/{capacity}"));
+        }
+        fn link_transfer(&mut self, link: LinkId, _now: Cycle, bytes: u64, arrival: Cycle) {
+            self.0
+                .push(format!("{link} {bytes}B @{}", arrival.as_u64()));
+        }
+        fn xbar_transfer(&mut self, module: u32, _now: Cycle, bytes: u64) {
+            self.0.push(format!("xbar@{module} {bytes}B"));
+        }
+        fn dram_access(&mut self, partition: u32, _now: Cycle, bytes: u64) {
+            self.0.push(format!("dram@{partition} {bytes}B"));
+        }
+        fn fault(&mut self, _now: Cycle, event: FaultEvent) {
+            self.0.push(format!("{event:?}"));
+        }
+    }
+
+    /// An active plan that never fires: every consultation runs, none
+    /// perturbs.
+    #[derive(Clone)]
+    struct Benign;
+    impl FaultPlan for Benign {}
+
+    #[test]
+    fn cache_decisions_are_reported_but_bypasses_are_not() {
+        let mut cfg = tiny_mcm();
+        cfg.caches.l15_bytes_total = 8 << 20;
+        let mut sys = McmSystem::new(&cfg);
+        let mut log = Log::default();
+        let line = LineAddr::new(7);
+        sys.l1_access(Cycle::ZERO, 3, line, AccessKind::Read, &mut log);
+        sys.l1_fill(3, line, Cycle::ZERO);
+        sys.l1_access(Cycle::new(10), 3, line, AccessKind::Read, &mut log);
+        // The remote-only L1.5 filters a local access out before it
+        // touches the tags: no hit-rate signal, nothing reported.
+        sys.l15_access(
+            Cycle::ZERO,
+            1,
+            line,
+            AccessKind::Read,
+            Locality::Local,
+            &mut log,
+        );
+        sys.l15_access(
+            Cycle::ZERO,
+            1,
+            line,
+            AccessKind::Read,
+            Locality::Remote,
+            &mut log,
+        );
+        // A disabled L1.5 is invisible too.
+        McmSystem::new(&tiny_mcm()).l15_access(
+            Cycle::ZERO,
+            1,
+            line,
+            AccessKind::Read,
+            Locality::Remote,
+            &mut log,
+        );
+        assert_eq!(log.0, ["L1@3 miss", "L1@3 hit", "L1.5@1 miss"]);
+    }
+
+    #[test]
+    fn mshr_reserve_and_release_report_occupancy() {
+        let cfg = tiny_mcm();
+        let cap = cfg.sm.mshr_entries;
+        let mut sys = McmSystem::new(&cfg);
+        let mut log = Log::default();
+        sys.mshr_reserve(Cycle::ZERO, 5, LineAddr::new(1), 0, &mut log);
+        sys.mshr_reserve(Cycle::new(3), 5, LineAddr::new(2), 1, &mut log);
+        let released = sys.mshr_release(Cycle::new(9), 5, LineAddr::new(1), &mut log);
+        assert_eq!(released, Some(0));
+        // Releasing a line with no entry reports nothing.
+        let missing = sys.mshr_release(Cycle::new(10), 5, LineAddr::new(7), &mut log);
+        assert_eq!(missing, None);
+        assert_eq!(
+            log.0,
+            [
+                format!("mshr@5 1/{cap}"),
+                format!("mshr@5 2/{cap}"),
+                format!("mshr@5 1/{cap}")
+            ]
+        );
+    }
+
+    #[test]
+    fn fabric_out_reports_the_module_crossbar() {
+        let mut sys = McmSystem::new(&tiny_mcm());
+        let mut log = Log::default();
+        sys.fabric_out(Cycle::ZERO, 2, &mut log);
+        assert_eq!(log.0, ["xbar@2 128B"]);
+    }
+
+    #[test]
+    fn ring_hops_report_the_segment_and_arrival() {
+        let mut sys = McmSystem::new(&tiny_mcm());
+        let mut log = Log::default();
+        let cw = RingDir::Clockwise;
+        let (_, t1) = sys.ring_hop(Cycle::ZERO, 0, 1, cw, 256, &mut log, &mut NullFaultPlan);
+        // Counter-clockwise from node 0 crosses the segment carrying
+        // node 0 to node 3, which is named by its lower node.
+        let ccw = RingDir::CounterClockwise;
+        let (next, t2) = sys.ring_hop(Cycle::ZERO, 0, 3, ccw, 128, &mut log, &mut NullFaultPlan);
+        assert_eq!(next, 3);
+        assert_eq!(
+            log.0,
+            [
+                format!("cw0 256B @{}", t1.as_u64()),
+                format!("ccw3 128B @{}", t2.as_u64())
+            ]
+        );
+    }
+
+    #[test]
+    fn mesh_hops_name_the_pair_and_skip_self_transfers() {
+        let mut cfg = tiny_mcm();
+        cfg.topology.network = NetworkKind::FullyConnected;
+        let mut sys = McmSystem::new(&cfg);
+        let mut log = Log::default();
+        let cw = RingDir::Clockwise;
+        let (_, t) = sys.ring_hop(Cycle::ZERO, 1, 3, cw, 128, &mut log, &mut NullFaultPlan);
+        // A free self-transfer crosses no link and is not reported.
+        let (_, free) = sys.ring_hop(Cycle::new(5), 2, 2, cw, 128, &mut log, &mut NullFaultPlan);
+        assert_eq!(free, Cycle::new(5));
+        assert_eq!(log.0, [format!("mesh1-3 128B @{}", t.as_u64())]);
+    }
+
+    #[test]
+    fn mem_read_reports_the_l2_miss_and_its_dram_line() {
+        let mut sys = McmSystem::new(&tiny_mcm());
+        let mut log = Log::default();
+        let line = LineAddr::new(40);
+        sys.mem_read(
+            Cycle::ZERO,
+            2,
+            line,
+            Locality::Remote,
+            &mut log,
+            &mut NullFaultPlan,
+        );
+        assert_eq!(log.0, ["L2@2 miss", "dram@2 128B"]);
+    }
+
+    #[test]
+    fn a_plan_that_never_fires_leaves_timing_unchanged() {
+        let mut null = McmSystem::new(&tiny_mcm());
+        let mut benign = McmSystem::new(&tiny_mcm());
+        for i in 0..32u64 {
+            let (now, line) = (Cycle::new(i), LineAddr::new(i * 3));
+            let (home, to) = ((i % 4) as usize, ((i + 1) % 4) as usize);
+            let (dir, _) = null.ring_route(home, to);
+            assert_eq!(
+                null.ring_hop(now, home, to, dir, 128, &mut NullProbe, &mut NullFaultPlan),
+                benign.ring_hop(now, home, to, dir, 128, &mut NullProbe, &mut Benign)
+            );
+            assert_eq!(
+                null.mem_read(
+                    now,
+                    home,
+                    line,
+                    Locality::Local,
+                    &mut NullProbe,
+                    &mut NullFaultPlan
+                ),
+                benign.mem_read(
+                    now,
+                    home,
+                    line,
+                    Locality::Local,
+                    &mut NullProbe,
+                    &mut Benign
+                )
+            );
+        }
+        assert_eq!(null.inter_module_bytes(), benign.inter_module_bytes());
+        assert_eq!(null.dram_bytes(), benign.dram_bytes());
+    }
+
+    #[test]
+    fn throttled_dram_is_reported_and_slower() {
+        #[derive(Clone)]
+        struct Hot;
+        impl FaultPlan for Hot {
+            fn dram_stretch(&mut self, _module: u32, _now: Cycle) -> f64 {
+                4.0
+            }
+        }
+        let mut cool = McmSystem::new(&tiny_mcm());
+        let mut hot = McmSystem::new(&tiny_mcm());
+        let mut log = Log::default();
+        let line = LineAddr::new(40);
+        let a = cool.mem_read(
+            Cycle::ZERO,
+            0,
+            line,
+            Locality::Local,
+            &mut NullProbe,
+            &mut Benign,
+        );
+        let b = hot.mem_read(Cycle::ZERO, 0, line, Locality::Local, &mut log, &mut Hot);
+        assert!(b > a, "a x4 stretch must delay the fill ({b} vs {a})");
+        assert_eq!(
+            log.0,
+            [
+                "L2@0 miss",
+                "DramThrottle { module: 0, stretch: 4.0 }",
+                "dram@0 128B"
+            ]
+        );
+        assert_eq!(hot.dram_bytes(), cool.dram_bytes());
+    }
+
+    #[test]
+    fn link_errors_retransmit_on_the_same_link_with_backoff() {
+        /// Errors every attempt until the retry budget is spent.
+        #[derive(Clone)]
+        struct AlwaysError;
+        impl FaultPlan for AlwaysError {
+            fn link_error(&mut self, _link: LinkId, _attempt: u32) -> bool {
+                true
+            }
+            fn link_backoff(&self, _attempt: u32) -> Cycle {
+                Cycle::new(100)
+            }
+            fn link_max_retries(&self) -> u32 {
+                2
+            }
+        }
+        let cw = RingDir::Clockwise;
+        let mut faulty = McmSystem::new(&tiny_mcm());
+        let mut log = Log::default();
+        let (next, done) = faulty.ring_hop(Cycle::ZERO, 0, 1, cw, 256, &mut log, &mut AlwaysError);
+        assert_eq!(next, 1);
+        // Three attempts (two retries, then the spent budget forces the
+        // transfer through), 100 cycles of backoff apart, each really
+        // crossing the same segment.
+        let mut plain = McmSystem::new(&tiny_mcm());
+        let mut arrivals = Vec::new();
+        let mut t = Cycle::ZERO;
+        for _ in 0..3 {
+            t = plain
+                .ring_hop(t, 0, 1, cw, 256, &mut NullProbe, &mut NullFaultPlan)
+                .1;
+            arrivals.push(t.as_u64());
+            t += Cycle::new(100);
+        }
+        assert_eq!(done.as_u64(), arrivals[2]);
+        assert_eq!(faulty.inter_module_bytes(), 3 * 256);
+        assert_eq!(
+            log.0,
+            [
+                format!("cw0 256B @{}", arrivals[0]),
+                "LinkRetry { link: RingCw(0), attempt: 0 }".to_string(),
+                format!("cw0 256B @{}", arrivals[1]),
+                "LinkRetry { link: RingCw(0), attempt: 1 }".to_string(),
+                format!("cw0 256B @{}", arrivals[2]),
+            ]
+        );
     }
 }

@@ -10,6 +10,7 @@
 //! this test reproducibly, not statistically.
 
 use mcm_engine::Cycle;
+use mcm_fault::NullFaultPlan;
 use mcm_gpu::{Simulator, SystemConfig};
 use mcm_probe::Probe;
 use mcm_testkit::alloc::CountingAllocator;
@@ -78,50 +79,51 @@ fn assert_steady_state_alloc_free(probe: &KernelWindows) {
     }
 }
 
+/// A [`KernelWindows`] with `ACTIVE = false`: it rides the sharded
+/// engine instead of forcing the serial fallback, and its
+/// kernel-boundary callbacks are forwarded by the epoch leader.
+struct PassiveWindows(KernelWindows);
+
+impl Probe for PassiveWindows {
+    const ACTIVE: bool = false;
+    fn kernel_begin(&mut self, kernel: u32, now: Cycle) {
+        self.0.kernel_begin(kernel, now);
+    }
+    fn kernel_end(&mut self, kernel: u32, now: Cycle) {
+        self.0.kernel_end(kernel, now);
+    }
+}
+
+fn windows() -> KernelWindows {
+    KernelWindows {
+        begin: [0; KERNELS],
+        end: [0; KERNELS],
+        seen: 0,
+    }
+}
+
+/// The contract holds serially and per shard under sharded execution:
+/// after warm-up, a steady-state kernel spends zero allocator calls
+/// across ALL shard threads — the epoch mailboxes, sequencer slots,
+/// and per-shard arenas reach capacity during the warm-up kernels and
+/// are recycled thereafter.
+///
+/// The counting allocator is process-global, so both runs live in this
+/// one test and execute one after the other: a second concurrently
+/// running test would charge its own allocations to these windows.
 #[test]
 fn steady_state_kernels_do_not_allocate() {
     let spec = alloc_probe_spec();
     let cfg = small_machine();
-    let mut probe = KernelWindows {
-        begin: [0; KERNELS],
-        end: [0; KERNELS],
-        seen: 0,
-    };
-    let report = Simulator::run_probed(&cfg, &spec, &mut probe);
+
+    let mut serial = windows();
+    let (report, _) = Simulator::run_with(&cfg, &spec, &mut serial, &mut NullFaultPlan, 1);
     assert!(report.cycles > Cycle::ZERO);
-    assert_steady_state_alloc_free(&probe);
-}
+    assert_steady_state_alloc_free(&serial);
 
-/// The same contract holds per shard under sharded execution: after
-/// warm-up, a steady-state kernel spends zero allocator calls across
-/// ALL shard threads — the epoch mailboxes, sequencer slots, and
-/// per-shard arenas reach capacity during the warm-up kernels and are
-/// recycled thereafter. (The window probe is `ACTIVE = false`, so it
-/// rides the sharded engine instead of forcing the serial fallback;
-/// its kernel-boundary callbacks are forwarded by the epoch leader.)
-#[test]
-fn sharded_steady_state_kernels_do_not_allocate() {
-    struct PassiveWindows(KernelWindows);
-    impl Probe for PassiveWindows {
-        const ACTIVE: bool = false;
-        fn kernel_begin(&mut self, kernel: u32, now: Cycle) {
-            self.0.kernel_begin(kernel, now);
-        }
-        fn kernel_end(&mut self, kernel: u32, now: Cycle) {
-            self.0.kernel_end(kernel, now);
-        }
-    }
-
-    let spec = alloc_probe_spec();
-    let cfg = small_machine();
-    let mut probe = PassiveWindows(KernelWindows {
-        begin: [0; KERNELS],
-        end: [0; KERNELS],
-        seen: 0,
-    });
-    let (report, stats) =
-        Simulator::run_faulted_sharded(&cfg, &spec, &mut probe, &mut mcm_fault::NullFaultPlan, 2);
+    let mut sharded = PassiveWindows(windows());
+    let (report, stats) = Simulator::run_with(&cfg, &spec, &mut sharded, &mut NullFaultPlan, 2);
     assert!(report.cycles > Cycle::ZERO);
     assert_eq!(stats.shards, 2, "the run must actually shard");
-    assert_steady_state_alloc_free(&probe.0);
+    assert_steady_state_alloc_free(&sharded.0);
 }

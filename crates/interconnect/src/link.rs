@@ -4,19 +4,6 @@ use mcm_engine::{Cycle, Resource};
 
 use crate::energy::Tier;
 
-/// `fault.link.transfers_recovered`: transfers that took at least one
-/// transient error and still landed. Out-of-band; only faulted builds
-/// (`F::ACTIVE`) ever touch it.
-fn recovered_counter() -> &'static mcm_telemetry::Counter {
-    static TELE: std::sync::OnceLock<mcm_telemetry::Counter> = std::sync::OnceLock::new();
-    TELE.get_or_init(|| {
-        mcm_telemetry::global().counter(
-            "fault.link.transfers_recovered",
-            mcm_telemetry::Class::Deterministic,
-        )
-    })
-}
-
 /// A unidirectional point-to-point link.
 ///
 /// A transfer of `bytes` arriving at `now` serializes on the link's
@@ -70,65 +57,6 @@ impl Link {
             return now + self.hop_latency;
         }
         self.bandwidth.service(now, bytes) + self.hop_latency
-    }
-
-    /// Like [`Link::transfer`], additionally reporting the transfer to
-    /// `probe` under the caller-chosen link identity `id` with its
-    /// computed arrival time.
-    pub fn transfer_probed<P: mcm_probe::Probe>(
-        &mut self,
-        now: Cycle,
-        bytes: u64,
-        id: mcm_probe::LinkId,
-        probe: &mut P,
-    ) -> Cycle {
-        let arrival = self.transfer(now, bytes);
-        if P::ACTIVE {
-            probe.link_transfer(id, now, bytes, arrival);
-        }
-        arrival
-    }
-
-    /// Like [`Link::transfer_probed`], but consults `plan` for
-    /// transient CRC errors: an errored attempt occupies the link (the
-    /// corrupt flits really crossed the wire), then retransmits after a
-    /// capped exponential backoff, up to the plan's retry budget. Each
-    /// retry is reported to `probe` as a [`mcm_probe::FaultEvent`].
-    ///
-    /// With an inactive plan this is exactly `transfer_probed`.
-    pub fn transfer_faulted<P: mcm_probe::Probe, F: mcm_fault::FaultPlan>(
-        &mut self,
-        now: Cycle,
-        bytes: u64,
-        id: mcm_probe::LinkId,
-        probe: &mut P,
-        plan: &mut F,
-    ) -> Cycle {
-        if !F::ACTIVE {
-            return self.transfer_probed(now, bytes, id, probe);
-        }
-        let mut t = now;
-        let mut attempt = 0;
-        loop {
-            let arrival = self.transfer_probed(t, bytes, id, probe);
-            if attempt >= plan.link_max_retries() || !plan.link_error(id, attempt) {
-                if attempt > 0 {
-                    // The transfer errored at least once and still
-                    // landed: a recovery, whether by clean retransmit
-                    // or by exhausting the retry budget.
-                    recovered_counter().inc();
-                }
-                return arrival;
-            }
-            if P::ACTIVE {
-                probe.fault(
-                    arrival,
-                    mcm_probe::FaultEvent::LinkRetry { link: id, attempt },
-                );
-            }
-            t = arrival + plan.link_backoff(attempt);
-            attempt += 1;
-        }
     }
 
     /// Total bytes that have crossed the link.
@@ -208,86 +136,12 @@ mod tests {
     }
 
     #[test]
-    fn probed_transfer_reports_identity_and_arrival() {
-        #[derive(Default)]
-        struct Log(Vec<(mcm_probe::LinkId, u64, u64)>);
-        impl mcm_probe::Probe for Log {
-            fn link_transfer(
-                &mut self,
-                link: mcm_probe::LinkId,
-                _now: Cycle,
-                bytes: u64,
-                arrival: Cycle,
-            ) {
-                self.0.push((link, bytes, arrival.as_u64()));
-            }
-        }
-        let mut log = Log::default();
-        let mut l = Link::new("t", 128.0, Cycle::new(32), Tier::Package);
-        let t = l.transfer_probed(Cycle::ZERO, 256, mcm_probe::LinkId::RingCw(1), &mut log);
-        assert_eq!(t, Cycle::new(34));
-        assert_eq!(log.0, vec![(mcm_probe::LinkId::RingCw(1), 256, 34)]);
-    }
-
-    #[test]
     fn zero_byte_transfer_skips_the_bandwidth_queue() {
         let mut l = Link::new("t", 64.0, Cycle::new(10), Tier::Package);
         assert_eq!(l.transfer(Cycle::new(5), 0), Cycle::new(15));
         assert_eq!(l.total_bytes(), 0);
         // The queue was untouched: a real transfer starts immediately.
         assert_eq!(l.transfer(Cycle::ZERO, 640), Cycle::new(20));
-    }
-
-    #[test]
-    fn faulted_transfer_with_null_plan_is_plain_transfer() {
-        let mut a = Link::new("a", 128.0, Cycle::new(32), Tier::Package);
-        let mut b = Link::new("b", 128.0, Cycle::new(32), Tier::Package);
-        let x = a.transfer_probed(
-            Cycle::ZERO,
-            256,
-            mcm_probe::LinkId::RingCw(0),
-            &mut mcm_probe::NullProbe,
-        );
-        let y = b.transfer_faulted(
-            Cycle::ZERO,
-            256,
-            mcm_probe::LinkId::RingCw(0),
-            &mut mcm_probe::NullProbe,
-            &mut mcm_fault::NullFaultPlan,
-        );
-        assert_eq!(x, y);
-    }
-
-    #[test]
-    fn link_errors_retransmit_with_backoff() {
-        /// Always errors until the budget is spent.
-        struct AlwaysError;
-        impl mcm_fault::FaultPlan for AlwaysError {
-            fn link_error(&mut self, _link: mcm_probe::LinkId, _attempt: u32) -> bool {
-                true
-            }
-            fn link_backoff(&self, _attempt: u32) -> Cycle {
-                Cycle::new(100)
-            }
-            fn link_max_retries(&self) -> u32 {
-                2
-            }
-        }
-        let mut l = Link::new("t", 128.0, Cycle::new(32), Tier::Package);
-        let done = l.transfer_faulted(
-            Cycle::ZERO,
-            256,
-            mcm_probe::LinkId::RingCw(0),
-            &mut mcm_probe::NullProbe,
-            &mut AlwaysError,
-        );
-        // Three attempts (2 retries), each 2 cycles serialization + 32
-        // hop, with a 100-cycle backoff between them:
-        // 34 → +100+2+32 = 168 → +100+2+32 = 302. The third attempt is
-        // forced through (budget spent).
-        assert_eq!(done, Cycle::new(302));
-        // All three attempts really crossed the wire.
-        assert_eq!(l.total_bytes(), 3 * 256);
     }
 
     #[test]

@@ -86,58 +86,15 @@ impl FullMesh {
 
     /// Moves `bytes` from `from` directly to `to`; returns
     /// `(destination, arrival)`. A self-transfer is free.
+    #[inline]
     pub fn hop(&mut self, now: Cycle, from: NodeId, to: NodeId, bytes: u64) -> (NodeId, Cycle) {
-        self.hop_probed(now, from, to, bytes, &mut mcm_probe::NullProbe)
-    }
-
-    /// Like [`FullMesh::hop`], additionally reporting the link crossed
-    /// ([`mcm_probe::LinkId::Mesh`]) to `probe`. Free self-transfers are
-    /// not reported.
-    pub fn hop_probed<P: mcm_probe::Probe>(
-        &mut self,
-        now: Cycle,
-        from: NodeId,
-        to: NodeId,
-        bytes: u64,
-        probe: &mut P,
-    ) -> (NodeId, Cycle) {
         let n = usize::from(self.nodes);
         let a = from.as_usize() % n;
         let b = to.as_usize() % n;
         if a == b {
             return (to, now);
         }
-        let id = mcm_probe::LinkId::Mesh {
-            from: a as u8,
-            to: b as u8,
-        };
-        let t = self.links[a * n + b].transfer_probed(now, bytes, id, probe);
-        (to, t)
-    }
-
-    /// Like [`FullMesh::hop_probed`], additionally consulting `plan`
-    /// for transient link errors (see
-    /// [`Link::transfer_faulted`](crate::link::Link::transfer_faulted)).
-    pub fn hop_faulted<P: mcm_probe::Probe, F: mcm_fault::FaultPlan>(
-        &mut self,
-        now: Cycle,
-        from: NodeId,
-        to: NodeId,
-        bytes: u64,
-        probe: &mut P,
-        plan: &mut F,
-    ) -> (NodeId, Cycle) {
-        let n = usize::from(self.nodes);
-        let a = from.as_usize() % n;
-        let b = to.as_usize() % n;
-        if a == b {
-            return (to, now);
-        }
-        let id = mcm_probe::LinkId::Mesh {
-            from: a as u8,
-            to: b as u8,
-        };
-        let t = self.links[a * n + b].transfer_faulted(now, bytes, id, probe, plan);
+        let t = self.links[a * n + b].transfer(now, bytes);
         (to, t)
     }
 
@@ -256,6 +213,7 @@ impl Fabric {
     }
 
     /// One hop toward `to`; returns `(next_node, arrival)`.
+    #[inline]
     pub fn hop(
         &mut self,
         now: Cycle,
@@ -267,42 +225,6 @@ impl Fabric {
         match self {
             Fabric::Ring(ring) => ring.hop(now, node, dir, bytes),
             Fabric::FullyConnected(mesh) => mesh.hop(now, node, to, bytes),
-        }
-    }
-
-    /// Like [`Fabric::hop`], forwarding the traversed link's identity
-    /// to `probe`.
-    pub fn hop_probed<P: mcm_probe::Probe>(
-        &mut self,
-        now: Cycle,
-        node: NodeId,
-        to: NodeId,
-        dir: RingDir,
-        bytes: u64,
-        probe: &mut P,
-    ) -> (NodeId, Cycle) {
-        match self {
-            Fabric::Ring(ring) => ring.hop_probed(now, node, dir, bytes, probe),
-            Fabric::FullyConnected(mesh) => mesh.hop_probed(now, node, to, bytes, probe),
-        }
-    }
-
-    /// Like [`Fabric::hop_probed`], additionally consulting `plan` for
-    /// transient link errors.
-    #[allow(clippy::too_many_arguments)]
-    pub fn hop_faulted<P: mcm_probe::Probe, F: mcm_fault::FaultPlan>(
-        &mut self,
-        now: Cycle,
-        node: NodeId,
-        to: NodeId,
-        dir: RingDir,
-        bytes: u64,
-        probe: &mut P,
-        plan: &mut F,
-    ) -> (NodeId, Cycle) {
-        match self {
-            Fabric::Ring(ring) => ring.hop_faulted(now, node, dir, bytes, probe, plan),
-            Fabric::FullyConnected(mesh) => mesh.hop_faulted(now, node, to, bytes, probe, plan),
         }
     }
 
@@ -436,28 +358,5 @@ mod tests {
     #[should_panic(expected = "at least one node")]
     fn zero_node_mesh_panics() {
         FullMesh::new(0, 1.0, Cycle::ZERO);
-    }
-
-    #[test]
-    fn probed_mesh_hop_names_the_pair() {
-        #[derive(Default)]
-        struct Log(Vec<String>);
-        impl mcm_probe::Probe for Log {
-            fn link_transfer(
-                &mut self,
-                link: mcm_probe::LinkId,
-                _now: Cycle,
-                _bytes: u64,
-                _arrival: Cycle,
-            ) {
-                self.0.push(link.to_string());
-            }
-        }
-        let mut log = Log::default();
-        let mut mesh = FullMesh::new(4, 512.0, Cycle::new(32));
-        mesh.hop_probed(Cycle::ZERO, NodeId(1), NodeId(3), 128, &mut log);
-        // Free self-transfers cross no link and are not reported.
-        mesh.hop_probed(Cycle::ZERO, NodeId(2), NodeId(2), 128, &mut log);
-        assert_eq!(log.0, vec!["mesh1-3"]);
     }
 }

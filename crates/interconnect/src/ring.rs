@@ -165,71 +165,17 @@ impl RingNetwork {
     /// Panics on a single-node ring (no segments to hop).
     #[inline]
     pub fn hop(&mut self, now: Cycle, node: NodeId, dir: RingDir, bytes: u64) -> (NodeId, Cycle) {
-        self.hop_probed(now, node, dir, bytes, &mut mcm_probe::NullProbe)
-    }
-
-    /// Like [`RingNetwork::hop`], additionally reporting the segment
-    /// crossed ([`mcm_probe::LinkId::RingCw`] carrying node `i` to
-    /// `i + 1`, [`mcm_probe::LinkId::RingCcw`] the reverse) to `probe`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a single-node ring (no segments to hop).
-    pub fn hop_probed<P: mcm_probe::Probe>(
-        &mut self,
-        now: Cycle,
-        node: NodeId,
-        dir: RingDir,
-        bytes: u64,
-        probe: &mut P,
-    ) -> (NodeId, Cycle) {
         let n = u32::from(self.nodes);
         assert!(n > 1, "cannot hop on a single-node ring");
         let a = u32::from(node.0) % n;
         match dir {
             RingDir::Clockwise => {
-                let id = mcm_probe::LinkId::RingCw(a as u8);
-                let t = self.cw[a as usize].transfer_probed(now, bytes, id, probe);
+                let t = self.cw[a as usize].transfer(now, bytes);
                 (NodeId(((a + 1) % n) as u8), t)
             }
             RingDir::CounterClockwise => {
                 let prev = (a + n - 1) % n;
-                let id = mcm_probe::LinkId::RingCcw(prev as u8);
-                let t = self.ccw[prev as usize].transfer_probed(now, bytes, id, probe);
-                (NodeId(prev as u8), t)
-            }
-        }
-    }
-
-    /// Like [`RingNetwork::hop_probed`], additionally consulting `plan`
-    /// for transient link errors (see
-    /// [`Link::transfer_faulted`](crate::link::Link::transfer_faulted)).
-    ///
-    /// # Panics
-    ///
-    /// Panics on a single-node ring (no segments to hop).
-    pub fn hop_faulted<P: mcm_probe::Probe, F: mcm_fault::FaultPlan>(
-        &mut self,
-        now: Cycle,
-        node: NodeId,
-        dir: RingDir,
-        bytes: u64,
-        probe: &mut P,
-        plan: &mut F,
-    ) -> (NodeId, Cycle) {
-        let n = u32::from(self.nodes);
-        assert!(n > 1, "cannot hop on a single-node ring");
-        let a = u32::from(node.0) % n;
-        match dir {
-            RingDir::Clockwise => {
-                let id = mcm_probe::LinkId::RingCw(a as u8);
-                let t = self.cw[a as usize].transfer_faulted(now, bytes, id, probe, plan);
-                (NodeId(((a + 1) % n) as u8), t)
-            }
-            RingDir::CounterClockwise => {
-                let prev = (a + n - 1) % n;
-                let id = mcm_probe::LinkId::RingCcw(prev as u8);
-                let t = self.ccw[prev as usize].transfer_faulted(now, bytes, id, probe, plan);
+                let t = self.ccw[prev as usize].transfer(now, bytes);
                 (NodeId(prev as u8), t)
             }
         }
@@ -435,35 +381,5 @@ mod tests {
     #[should_panic(expected = "at least one node")]
     fn zero_nodes_panics() {
         RingNetwork::new(0, 768.0, Cycle::ZERO);
-    }
-
-    #[test]
-    fn probed_hops_name_the_segments() {
-        #[derive(Default)]
-        struct Log(Vec<String>);
-        impl mcm_probe::Probe for Log {
-            fn link_transfer(
-                &mut self,
-                link: mcm_probe::LinkId,
-                _now: Cycle,
-                _bytes: u64,
-                _arrival: Cycle,
-            ) {
-                self.0.push(link.to_string());
-            }
-        }
-        let mut log = Log::default();
-        let mut ring = RingNetwork::new(4, 768.0, Cycle::new(32));
-        ring.hop_probed(Cycle::ZERO, NodeId(0), RingDir::Clockwise, 128, &mut log);
-        // Counter-clockwise from node 0 crosses the segment owned by
-        // node 3 (ccw[3] carries traffic from node 0 to node 3).
-        ring.hop_probed(
-            Cycle::ZERO,
-            NodeId(0),
-            RingDir::CounterClockwise,
-            128,
-            &mut log,
-        );
-        assert_eq!(log.0, vec!["cw0", "ccw3"]);
     }
 }

@@ -49,22 +49,6 @@ impl Crossbar {
         self.fabric.service(now, bytes) + self.latency
     }
 
-    /// Like [`Crossbar::transfer`], additionally reporting the traffic
-    /// on `module`'s crossbar to `probe`.
-    pub fn transfer_probed<P: mcm_probe::Probe>(
-        &mut self,
-        now: Cycle,
-        bytes: u64,
-        module: u32,
-        probe: &mut P,
-    ) -> Cycle {
-        let done = self.transfer(now, bytes);
-        if P::ACTIVE {
-            probe.xbar_transfer(module, now, bytes);
-        }
-        done
-    }
-
     /// Total bytes moved.
     pub fn total_bytes(&self) -> u64 {
         self.fabric.total_bytes()
@@ -100,24 +84,6 @@ mod tests {
         assert_eq!(a, Cycle::new(10));
         assert_eq!(b, Cycle::new(20));
         assert!((x.utilization(Cycle::new(20)) - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn probed_transfer_reports_module_bytes() {
-        #[derive(Default)]
-        struct Log(Vec<(u32, u64)>);
-        impl mcm_probe::Probe for Log {
-            fn xbar_transfer(&mut self, module: u32, _now: Cycle, bytes: u64) {
-                self.0.push((module, bytes));
-            }
-        }
-        let mut log = Log::default();
-        let mut x = Crossbar::new("x", 128.0, Cycle::new(4));
-        assert_eq!(
-            x.transfer_probed(Cycle::ZERO, 128, 2, &mut log),
-            Cycle::new(5)
-        );
-        assert_eq!(log.0, vec![(2, 128)]);
     }
 
     #[test]

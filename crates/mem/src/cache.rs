@@ -400,34 +400,6 @@ impl SetAssocCache {
         }
     }
 
-    /// Like [`SetAssocCache::access`], additionally reporting the
-    /// hit/miss decision to `probe` under this cache's configured name
-    /// and the caller-chosen `unit` index (SM for private caches,
-    /// module for shared ones).
-    ///
-    /// Bypasses and disabled-cache accesses never touch the tag array,
-    /// carry no hit-rate signal, and are not reported. When `P` is the
-    /// no-op probe this compiles down to a plain `access` call.
-    pub fn access_probed<P: mcm_probe::Probe>(
-        &mut self,
-        now: Cycle,
-        line: LineAddr,
-        kind: AccessKind,
-        locality: Locality,
-        unit: u32,
-        probe: &mut P,
-    ) -> CacheOutcome {
-        let outcome = self.access(now, line, kind, locality);
-        if P::ACTIVE && !self.is_disabled() {
-            match outcome {
-                CacheOutcome::Hit { .. } => probe.cache_access(self.config.name, unit, now, true),
-                CacheOutcome::Miss { .. } => probe.cache_access(self.config.name, unit, now, false),
-                CacheOutcome::Bypass => {}
-            }
-        }
-        outcome
-    }
-
     /// Installs `line`, which becomes available at `ready`; returns the
     /// eviction performed to make room, if any.
     ///
@@ -562,54 +534,6 @@ mod tests {
             AccessKind::Read,
             Locality::Local,
         )
-    }
-
-    #[test]
-    fn probed_access_reports_hits_and_misses_not_bypasses() {
-        #[derive(Default)]
-        struct Log(Vec<(&'static str, u32, bool)>);
-        impl mcm_probe::Probe for Log {
-            fn cache_access(&mut self, cache: &'static str, unit: u32, _now: Cycle, hit: bool) {
-                self.0.push((cache, unit, hit));
-            }
-        }
-        let mut log = Log::default();
-        let mut c = small(4, 16);
-        let line = LineAddr::new(7);
-        c.access_probed(
-            Cycle::ZERO,
-            line,
-            AccessKind::Read,
-            Locality::Local,
-            3,
-            &mut log,
-        );
-        c.fill(line, Cycle::ZERO, false);
-        c.access_probed(
-            Cycle::new(10),
-            line,
-            AccessKind::Read,
-            Locality::Local,
-            3,
-            &mut log,
-        );
-        assert_eq!(log.0, vec![("t", 3, false), ("t", 3, true)]);
-
-        // A filter-rejected access never touches the tags and stays
-        // invisible to the probe.
-        let mut cfg = CacheConfig::new("ro", 4 * 16 * 128);
-        cfg.alloc_filter = AllocFilter::RemoteOnly;
-        let mut ro = SetAssocCache::new(cfg);
-        let out = ro.access_probed(
-            Cycle::ZERO,
-            line,
-            AccessKind::Read,
-            Locality::Local,
-            0,
-            &mut log,
-        );
-        assert!(matches!(out, CacheOutcome::Bypass));
-        assert_eq!(log.0.len(), 2);
     }
 
     #[test]

@@ -120,57 +120,6 @@ impl DramPartition {
         served + self.config.latency
     }
 
-    /// Like [`DramPartition::access`], additionally reporting the
-    /// line's worth of DRAM traffic on `partition` to `probe`.
-    pub fn access_probed<P: mcm_probe::Probe>(
-        &mut self,
-        now: Cycle,
-        line: LineAddr,
-        kind: AccessKind,
-        partition: u32,
-        probe: &mut P,
-    ) -> Cycle {
-        let done = self.access(now, line, kind);
-        if P::ACTIVE {
-            probe.dram_access(partition, now, LINE_BYTES);
-        }
-        done
-    }
-
-    /// Like [`DramPartition::access_probed`], additionally consulting
-    /// `plan` for a thermal-throttle stretch at `now`. Throttled
-    /// accesses are reported to `probe` as
-    /// [`mcm_probe::FaultEvent::DramThrottle`].
-    ///
-    /// With an inactive plan this is exactly `access_probed`.
-    pub fn access_faulted<P: mcm_probe::Probe, F: mcm_fault::FaultPlan>(
-        &mut self,
-        now: Cycle,
-        line: LineAddr,
-        kind: AccessKind,
-        partition: u32,
-        probe: &mut P,
-        plan: &mut F,
-    ) -> Cycle {
-        if !F::ACTIVE {
-            return self.access_probed(now, line, kind, partition, probe);
-        }
-        let stretch = plan.dram_stretch(partition, now);
-        if P::ACTIVE {
-            if stretch > 1.0 {
-                probe.fault(
-                    now,
-                    mcm_probe::FaultEvent::DramThrottle {
-                        module: partition,
-                        stretch,
-                    },
-                );
-            }
-            probe.dram_access(partition, now, LINE_BYTES);
-        }
-        self.access_stretched(now, line, kind, stretch)
-    }
-
     /// Total bytes moved in or out of the partition.
     pub fn total_bytes(&self) -> u64 {
         self.channels.iter().map(Resource::total_bytes).sum()
@@ -315,45 +264,5 @@ mod tests {
         // 1 cycle of service becomes 4 under a ×4 stretch.
         assert_eq!(b - a, Cycle::new(3));
         assert_eq!(hot.total_bytes(), plain.total_bytes());
-    }
-
-    #[test]
-    fn faulted_access_with_null_plan_matches_probed() {
-        let mut a = partition(768.0, 8);
-        let mut b = partition(768.0, 8);
-        for i in 0..32u64 {
-            let x = a.access_probed(
-                Cycle::new(i),
-                LineAddr::new(i * 3),
-                AccessKind::Read,
-                0,
-                &mut mcm_probe::NullProbe,
-            );
-            let y = b.access_faulted(
-                Cycle::new(i),
-                LineAddr::new(i * 3),
-                AccessKind::Read,
-                0,
-                &mut mcm_probe::NullProbe,
-                &mut mcm_fault::NullFaultPlan,
-            );
-            assert_eq!(x, y);
-        }
-    }
-
-    #[test]
-    fn probed_access_reports_line_traffic() {
-        #[derive(Default)]
-        struct Log(Vec<(u32, u64)>);
-        impl mcm_probe::Probe for Log {
-            fn dram_access(&mut self, partition: u32, _now: Cycle, bytes: u64) {
-                self.0.push((partition, bytes));
-            }
-        }
-        let mut log = Log::default();
-        let mut mp = partition(128.0, 1);
-        let done = mp.access_probed(Cycle::ZERO, LineAddr::new(0), AccessKind::Read, 2, &mut log);
-        assert_eq!(done, Cycle::new(101));
-        assert_eq!(log.0, vec![(2, LINE_BYTES)]);
     }
 }

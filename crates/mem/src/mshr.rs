@@ -110,45 +110,14 @@ impl Mshr {
         self.pending.remove(&line)
     }
 
-    /// Like [`Mshr::reserve`], additionally reporting the table's new
-    /// occupancy for `sm` to `probe`.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`Mshr::reserve`].
-    pub fn reserve_probed<P: mcm_probe::Probe>(
-        &mut self,
-        line: LineAddr,
-        request: u64,
-        sm: u32,
-        now: mcm_engine::Cycle,
-        probe: &mut P,
-    ) {
-        self.reserve(line, request);
-        if P::ACTIVE {
-            probe.mshr_occupancy(sm, now, self.pending.len() as u32, self.capacity as u32);
-        }
-    }
-
-    /// Like [`Mshr::release`], additionally reporting the table's new
-    /// occupancy for `sm` to `probe` when an entry was actually freed.
-    pub fn release_probed<P: mcm_probe::Probe>(
-        &mut self,
-        line: LineAddr,
-        sm: u32,
-        now: mcm_engine::Cycle,
-        probe: &mut P,
-    ) -> Option<u64> {
-        let released = self.release(line);
-        if P::ACTIVE && released.is_some() {
-            probe.mshr_occupancy(sm, now, self.pending.len() as u32, self.capacity as u32);
-        }
-        released
-    }
-
     /// Whether at least one entry is free.
     pub fn has_free_entry(&self) -> bool {
         self.pending.len() < self.capacity
+    }
+
+    /// The table's entry count.
+    pub fn capacity(&self) -> usize {
+        self.capacity
     }
 
     /// Fills currently outstanding.
@@ -237,32 +206,5 @@ mod tests {
     #[should_panic(expected = "capacity must be nonzero")]
     fn zero_capacity_panics() {
         Mshr::new(0);
-    }
-
-    #[test]
-    fn probed_reserve_and_release_report_occupancy() {
-        use mcm_engine::Cycle;
-
-        #[derive(Default)]
-        struct Log(Vec<(u32, u32, u32)>);
-        impl mcm_probe::Probe for Log {
-            fn mshr_occupancy(&mut self, sm: u32, _now: Cycle, outstanding: u32, capacity: u32) {
-                self.0.push((sm, outstanding, capacity));
-            }
-        }
-        let mut log = Log::default();
-        let mut m = Mshr::new(2);
-        m.reserve_probed(LineAddr::new(1), 0, 5, Cycle::ZERO, &mut log);
-        m.reserve_probed(LineAddr::new(2), 1, 5, Cycle::new(3), &mut log);
-        assert_eq!(
-            m.release_probed(LineAddr::new(1), 5, Cycle::new(9), &mut log),
-            Some(0)
-        );
-        // Releasing a line with no entry reports nothing.
-        assert_eq!(
-            m.release_probed(LineAddr::new(7), 5, Cycle::new(10), &mut log),
-            None
-        );
-        assert_eq!(log.0, vec![(5, 1, 2), (5, 2, 2), (5, 1, 2)]);
     }
 }

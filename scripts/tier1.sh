@@ -15,6 +15,13 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 echo "== cargo build --workspace --release --offline =="
 cargo build --workspace --release --offline
 
+# The benchmark (perfbench/, its own package outside the workspace)
+# calls the simulator's public API directly; building it here makes an
+# API change that breaks the benchmark fail the gate instead of the
+# next benchmark run.
+echo "== cargo build --release --offline --manifest-path perfbench/Cargo.toml =="
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
 # MCM_JOBS=1 / MCM_SHARDS=1 pin the golden-comparison runs to the
 # serial execution path: identical output is *guaranteed* by
 # construction there, so a golden diff can only mean simulated

@@ -17,7 +17,7 @@ fn golden_spec(name: &str) -> WorkloadSpec {
 
 fn faulted(cfg: &SystemConfig, spec: &WorkloadSpec, config: FaultConfig) -> RunReport {
     let mut plan = SeededFaultPlan::new(config);
-    Simulator::run_faulted(cfg, spec, &mut NullProbe, &mut plan)
+    Simulator::run_with(cfg, spec, &mut NullProbe, &mut plan, 1).0
 }
 
 /// Asserts the run executed every static instruction, within the
@@ -46,7 +46,7 @@ fn null_plan_reproduces_golden_runs_exactly() {
         for name in TRIO {
             let spec = golden_spec(name);
             let plain = Simulator::run(&cfg, &spec);
-            let nulled = Simulator::run_faulted(&cfg, &spec, &mut NullProbe, &mut NullFaultPlan);
+            let nulled = Simulator::run_with(&cfg, &spec, &mut NullProbe, &mut NullFaultPlan, 1).0;
             assert_eq!(plain, nulled, "{name} on {}", cfg.name);
         }
     }
@@ -158,7 +158,7 @@ fn sharded_faulted_runs_match_serial_bit_for_bit() {
             for shards in [2, 4] {
                 let mut plan = SeededFaultPlan::new(FaultConfig::with_rate(7, rate));
                 let (sharded, stats) =
-                    Simulator::run_faulted_sharded(&cfg, &spec, &mut NullProbe, &mut plan, shards);
+                    Simulator::run_with(&cfg, &spec, &mut NullProbe, &mut plan, shards);
                 assert_eq!(
                     serial, sharded,
                     "{name} at rate {rate} diverged at {shards} shard(s)"
@@ -192,8 +192,7 @@ fn sharded_gpm_loss_resteals_across_shard_boundaries() {
         assert_instructions(&serial, &spec);
         for shards in [2, 4] {
             let mut plan = SeededFaultPlan::new(lossy);
-            let (sharded, _) =
-                Simulator::run_faulted_sharded(&cfg, &spec, &mut NullProbe, &mut plan, shards);
+            let (sharded, _) = Simulator::run_with(&cfg, &spec, &mut NullProbe, &mut plan, shards);
             assert_eq!(
                 serial, sharded,
                 "dead module {module} diverged at {shards} shard(s)"

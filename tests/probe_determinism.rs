@@ -74,8 +74,7 @@ fn active_probes_force_serial_fallback_and_stay_bit_exact() {
         ChromeTraceProbe::new(),
         MetricsProbe::new(1024, cfg.topology.sms_per_module),
     );
-    let (report, stats) =
-        Simulator::run_faulted_sharded(&cfg, &spec, &mut probe, &mut NullFaultPlan, 4);
+    let (report, stats) = Simulator::run_with(&cfg, &spec, &mut probe, &mut NullFaultPlan, 4);
     assert_eq!(stats.shards, 1, "active probes must run serially");
     assert_eq!(report, serial_report);
     assert_eq!(probe.0.finish(), serial_trace);
@@ -111,8 +110,7 @@ fn inactive_probes_ride_the_sharded_engine() {
     spec.kernel_iters = 3;
     let serial = Simulator::run(&cfg, &spec);
     let mut probe = KernelLog::default();
-    let (report, stats) =
-        Simulator::run_faulted_sharded(&cfg, &spec, &mut probe, &mut NullFaultPlan, 4);
+    let (report, stats) = Simulator::run_with(&cfg, &spec, &mut probe, &mut NullFaultPlan, 4);
     assert_eq!(stats.shards, 4, "an inactive probe must not force serial");
     assert_eq!(report, serial, "probed sharded run diverged");
     assert_eq!(probe.begins, vec![0, 1, 2]);

@@ -8,7 +8,9 @@
 //! re-asserted under sharding, so the serial goldens pin the sharded
 //! engine too.
 
+use mcm::fault::NullFaultPlan;
 use mcm::gpu::{effective_shards, RunReport, Simulator, SystemConfig};
+use mcm::probe::NullProbe;
 use mcm::workloads::{suite, Category, WorkloadSpec};
 
 /// Shard counts the knob is exercised at; 8 oversubscribes every
@@ -119,7 +121,8 @@ fn shard_stats_report_clamped_counts_and_clean_mailboxes() {
     let spec = scaled("Stream", 0.02);
     for (requested, expect) in [(1, 1), (2, 2), (4, 4), (8, 4), (64, 4)] {
         assert_eq!(effective_shards(&cfg, requested), expect);
-        let (_, stats) = Simulator::run_sharded_stats(&cfg, &spec, requested);
+        let (_, stats) =
+            Simulator::run_with(&cfg, &spec, &mut NullProbe, &mut NullFaultPlan, requested);
         assert_eq!(stats.shards, expect, "requested {requested}");
         if expect > 1 {
             assert!(stats.epochs > 0, "multi-shard runs advance in epochs");

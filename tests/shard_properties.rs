@@ -18,7 +18,9 @@
 //! Failures shrink toward a minimal (workload, scale, shards, machine)
 //! tuple and print an `MCM_PROP_SEED` that replays the exact case.
 
+use mcm::fault::NullFaultPlan;
 use mcm::gpu::{effective_shards, Simulator, SystemConfig};
+use mcm::probe::NullProbe;
 use mcm::workloads::suite;
 use mcm_testkit::gen::{u64s, u8s, usizes};
 use mcm_testkit::runner::check;
@@ -54,7 +56,8 @@ fn sharded_runs_conserve_messages_and_work() {
             let spec = all[idx].scaled(milli as f64 / 1000.0);
             let cfg = machine(variant);
             let serial = Simulator::run(&cfg, &spec);
-            let (sharded, stats) = Simulator::run_sharded_stats(&cfg, &spec, shards);
+            let (sharded, stats) =
+                Simulator::run_with(&cfg, &spec, &mut NullProbe, &mut NullFaultPlan, shards);
             assert_eq!(
                 serial, sharded,
                 "{} on {} at {shards} shards: sharded run diverged",

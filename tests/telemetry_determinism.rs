@@ -42,8 +42,7 @@ fn delta_of<F: FnOnce() -> RunReport>(f: F) -> (RunReport, Snapshot) {
 fn sharded(shards: usize) -> RunReport {
     let cfg = SystemConfig::baseline_mcm();
     let mut plan = SeededFaultPlan::new(FaultConfig::with_rate(7, 0.02));
-    let (report, _) =
-        Simulator::run_faulted_sharded(&cfg, &spec(), &mut NullProbe, &mut plan, shards);
+    let (report, _) = Simulator::run_with(&cfg, &spec(), &mut NullProbe, &mut plan, shards);
     report
 }
 
