@@ -34,11 +34,11 @@ fn main() {
     for jobs in [1usize, 2, 4, 8] {
         // A fresh memo per job count: every pair simulates again.
         let mut memo = Memo::new(0.02);
-        let (reports, secs) =
-            mcm_testkit::bench::bench_once(&format!("run_grid/jobs={jobs}"), || {
-                memo.run_grid_with_jobs(jobs, &pairs)
-            });
-        assert_eq!(reports.len(), pairs.len());
+        let (failures, secs) = mcm_testkit::bench::bench_once(&format!("warm/jobs={jobs}"), || {
+            memo.warm_with_jobs(jobs, &pairs)
+        });
+        assert!(failures.is_empty(), "quarantined: {failures:?}");
+        assert_eq!(memo.stats().warm_planned, pairs.len() as u64);
         timings.push((jobs, secs));
     }
     let (_, serial) = timings[0];

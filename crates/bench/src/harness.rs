@@ -2,13 +2,12 @@
 //! memoized simulation runs and plain-text table rendering.
 
 use std::collections::{HashMap, HashSet};
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::OnceLock;
 
 use mcm_engine::rng::StableHasher;
 use mcm_engine::stats::geomean;
-use mcm_exec::pool::{panic_message, TaskFailure};
+use mcm_exec::pool::TaskFailure;
 use mcm_fault::{FaultConfig, NullFaultPlan, SeededFaultPlan};
 use mcm_gpu::{RunReport, Simulator, SystemConfig};
 use mcm_probe::{ChromeTraceProbe, MetricsProbe, NullProbe, Probe};
@@ -128,9 +127,8 @@ pub fn shards() -> usize {
 /// so two configurations that share a name but differ in any tuned
 /// parameter are simulated (and cached) separately.
 ///
-/// Independent runs can execute in parallel: [`Memo::warm`] (and the
-/// [`Memo::run_grid`] / [`Memo::run_suite_parallel`] wrappers) plan the
-/// unique uncached pairs of a grid up front and dispatch them across
+/// Independent runs can execute in parallel: [`Memo::warm`] plans the
+/// unique uncached pairs of a grid up front and dispatches them across
 /// `MCM_JOBS` worker threads via [`mcm_exec`], merging results back in
 /// grid order so every figure, table, and artifact is byte-identical
 /// regardless of the job count.
@@ -264,16 +262,7 @@ impl Memo {
     /// quarantined as misses by the store's recovery scan.
     pub fn from_env() -> Self {
         let mut memo = Memo::new(scale());
-        if let Some(dir) = std::env::var_os("MCM_STORE") {
-            let dir = PathBuf::from(dir);
-            let store = Store::open(&dir).unwrap_or_else(|e| {
-                panic!(
-                    "MCM_STORE: cannot open result store at {}: {e}",
-                    dir.display()
-                )
-            });
-            memo.store = Some(store);
-        }
+        memo.store = env_store();
         memo
     }
 
@@ -301,12 +290,6 @@ impl Memo {
         (cfg.fingerprint(), spec.name.to_string())
     }
 
-    /// The persistent-store fingerprint for one pair; see
-    /// [`pair_fingerprint`].
-    fn store_fingerprint(&self, cfg: &SystemConfig, spec: &WorkloadSpec) -> u64 {
-        pair_fingerprint(self.scale, cfg, spec)
-    }
-
     /// Runs `spec` (scaled) on `cfg`, memoized — in-process first, then
     /// the persistent store (when attached), then a fresh simulation
     /// (which is durably committed to the store as it completes).
@@ -320,28 +303,27 @@ impl Memo {
             memo_tele().hits.inc();
             return r.clone();
         }
-        if self.store.is_some() {
-            let fp = self.store_fingerprint(cfg, spec);
-            if let Some(r) = self.store.as_ref().and_then(|s| s.get(fp, spec.name)) {
-                self.stats.store_hits += 1;
-                memo_tele().store_hits.inc();
-                self.cache.insert(key, r.clone());
-                return r;
-            }
+        let fp = pair_fingerprint(self.scale, cfg, spec);
+        if let Some(r) = self.load_stored(&key, fp) {
+            return r;
         }
         self.stats.misses += 1;
         memo_tele().misses.inc();
-        let report = run_instrumented(cfg, &spec.scaled(self.scale));
-        if let Some(store) = &self.store {
-            store.put(self.store_fingerprint(cfg, spec), spec.name, &report);
-        }
+        let store = self.store.as_ref();
+        let report =
+            simulate_and_persist(run_instrumented, store, fp, cfg, &spec.scaled(self.scale));
         self.cache.insert(key, report.clone());
         report
     }
 
-    /// Runs every workload in `suite` on `cfg`.
-    pub fn run_suite(&mut self, cfg: &SystemConfig, suite: &[WorkloadSpec]) -> Vec<RunReport> {
-        suite.iter().map(|w| self.run(cfg, w)).collect()
+    /// Serves pair `key` from the persistent store (when attached) into
+    /// the in-process cache, counting a store hit.
+    fn load_stored(&mut self, key: &(u64, String), fp: u64) -> Option<RunReport> {
+        let r = self.store.as_ref()?.get(fp, &key.1)?;
+        self.stats.store_hits += 1;
+        memo_tele().store_hits.inc();
+        self.cache.insert(key.clone(), r.clone());
+        Some(r)
     }
 
     /// Simulates every uncached `(configuration, workload)` pair in
@@ -356,26 +338,19 @@ impl Memo {
     /// collisions (see [`artifact_stem`]), and results are merged back
     /// in plan order — output never depends on thread scheduling.
     ///
-    /// With `MCM_SUPERVISED=1` the grid runs under the supervised
-    /// executor instead: a panicking pair is retried (`MCM_RETRIES`,
-    /// default 1) and then quarantined — reported on stderr, left
-    /// uncached — while every other pair completes. See
-    /// [`Memo::warm_supervised_with_jobs`].
+    /// A panicking pair is retried (`MCM_RETRIES`, default 1) and then
+    /// quarantined while every other pair completes and persists.
     ///
     /// # Panics
     ///
-    /// Panics if two planned pairs would write the same artifact stem,
-    /// or (unsupervised) if a worker task panics — the propagated panic
-    /// names the `(configuration, workload)` pair and its grid index
-    /// and carries the original message.
+    /// Panics if two planned pairs would write the same artifact stem.
+    /// After the whole grid has run, prints one `QUARANTINED (…)` line
+    /// per quarantined pair to stderr and panics naming every one of
+    /// them, so a harness binary exits non-zero with the healthy rest
+    /// of its grid already cached and persisted.
     pub fn warm(&mut self, pairs: &[(&SystemConfig, &WorkloadSpec)]) {
-        if mcm_exec::supervised() {
-            let failures =
-                self.warm_supervised_with_jobs(mcm_exec::jobs(), mcm_exec::retries(), pairs);
-            report_quarantined(&failures);
-        } else {
-            self.warm_with_jobs(mcm_exec::jobs(), pairs);
-        }
+        let failures = self.warm_with_jobs(mcm_exec::jobs(), pairs);
+        raise_quarantined(&failures);
     }
 
     /// Plans one warm call: drops pairs already in the in-process
@@ -393,7 +368,6 @@ impl Memo {
         let mut seen: HashSet<(u64, String)> = HashSet::new();
         let mut stems: HashMap<String, (String, &str)> = HashMap::new();
         let mut deduped = 0u64;
-        let mut store_hits = 0u64;
         for &(cfg, spec) in pairs {
             let key = Memo::key(cfg, spec);
             if self.cache.contains_key(&key) {
@@ -407,10 +381,8 @@ impl Memo {
                 deduped += 1;
                 continue;
             }
-            let store_fp = self.store_fingerprint(cfg, spec);
-            if let Some(r) = self.store.as_ref().and_then(|s| s.get(store_fp, spec.name)) {
-                store_hits += 1;
-                self.cache.insert(key, r);
+            let store_fp = pair_fingerprint(self.scale, cfg, spec);
+            if self.load_stored(&key, store_fp).is_some() {
                 continue;
             }
             let stem = artifact_stem(cfg, spec);
@@ -431,11 +403,9 @@ impl Memo {
         self.stats.warm_requested += pairs.len() as u64;
         self.stats.warm_planned += planned.len() as u64;
         self.stats.warm_deduped += deduped;
-        self.stats.store_hits += store_hits;
         tele.warm_requested.add(pairs.len() as u64);
         tele.warm_planned.add(planned.len() as u64);
         tele.warm_deduped.add(deduped);
-        tele.store_hits.add(store_hits);
         if !pairs.is_empty() {
             let skipped = (pairs.len() - planned.len()) as u64;
             tele.dedupe.observe(skipped * 1000 / pairs.len() as u64);
@@ -446,78 +416,24 @@ impl Memo {
     /// [`Memo::warm`] with an explicit worker count (tests compare
     /// job counts in-process without touching the `MCM_JOBS`
     /// environment variable, which would race across test threads).
-    pub fn warm_with_jobs(&mut self, jobs: usize, pairs: &[(&SystemConfig, &WorkloadSpec)]) {
-        self.warm_with_jobs_runner(jobs, pairs, run_instrumented);
-    }
-
-    /// [`Memo::warm_with_jobs`] with an injectable simulation function
-    /// (tests exercise the panic-enrichment and persistence plumbing
-    /// with scripted faults, no environment required).
-    fn warm_with_jobs_runner<G>(
+    /// Retries come from `MCM_RETRIES`. Instead of panicking, returns
+    /// the quarantined pairs, sorted by grid position and identical at
+    /// every `jobs` value. Quarantined pairs stay uncached: a later
+    /// [`Memo::run`] on one re-attempts it.
+    #[must_use]
+    pub fn warm_with_jobs(
         &mut self,
         jobs: usize,
-        pairs: &[(&SystemConfig, &WorkloadSpec)],
-        sim: G,
-    ) where
-        G: Fn(&SystemConfig, &WorkloadSpec) -> RunReport + Sync,
-    {
-        let planned = self.plan(pairs);
-        let store = self.store.as_ref();
-        let reports = mcm_exec::pool::run_grid(
-            &planned,
-            jobs,
-            mcm_exec::DEFAULT_SEED,
-            |_, (cfg, scaled, store_fp)| {
-                // Attach the pair's identity to any panic before the
-                // pool's own enrichment adds the grid index: a poisoned
-                // sweep names ("config", "workload"), not just a slot.
-                let report =
-                    catch_unwind(AssertUnwindSafe(|| sim(cfg, scaled))).unwrap_or_else(|payload| {
-                        resume_unwind(Box::new(format!(
-                            "({:?}, {:?}): {}",
-                            cfg.name,
-                            scaled.name,
-                            panic_message(payload.as_ref())
-                        )))
-                    });
-                // Committed from the worker, not after the merge: a
-                // crash mid-sweep keeps every already-finished result.
-                if let Some(store) = store {
-                    store.put(*store_fp, scaled.name, &report);
-                }
-                report
-            },
-        );
-        for ((cfg, scaled, _), report) in planned.iter().zip(reports) {
-            self.cache
-                .insert((cfg.fingerprint(), scaled.name.to_string()), report);
-        }
-    }
-
-    /// The supervised counterpart of [`Memo::warm`]: runs the planned
-    /// grid under [`mcm_exec::pool::run_grid_supervised`], so a
-    /// panicking pair is retried up to `retries` more times and then
-    /// quarantined — named in the returned report — while every other
-    /// pair completes (and persists, when a store is attached).
-    ///
-    /// The report is sorted by grid position and is identical at every
-    /// `jobs` value. Quarantined pairs stay uncached: a later
-    /// [`Memo::run`] on one will re-attempt it (and panic undisturbed
-    /// if the fault persists).
-    pub fn warm_supervised_with_jobs(
-        &mut self,
-        jobs: usize,
-        retries: u32,
         pairs: &[(&SystemConfig, &WorkloadSpec)],
     ) -> Vec<PairFailure> {
-        self.warm_supervised_runner(jobs, retries, pairs, |cfg, scaled| {
-            run_instrumented(cfg, scaled)
-        })
+        self.warm_runner(jobs, mcm_exec::retries(), pairs, run_instrumented)
     }
 
-    /// [`Memo::warm_supervised_with_jobs`] with an injectable
-    /// simulation function (tests inject scripted faults env-free).
-    fn warm_supervised_runner<G>(
+    /// The warm path with an injectable simulation function (tests
+    /// inject scripted faults env-free). Each worker commits its report
+    /// to the store as it finishes, so a crash mid-sweep keeps every
+    /// already-finished result.
+    fn warm_runner<G>(
         &mut self,
         jobs: usize,
         retries: u32,
@@ -529,18 +445,12 @@ impl Memo {
     {
         let planned = self.plan(pairs);
         let store = self.store.as_ref();
-        let grid = mcm_exec::pool::run_grid_supervised(
+        let grid = mcm_exec::pool::run_grid(
             &planned,
             jobs,
             mcm_exec::DEFAULT_SEED,
             retries,
-            |_, (cfg, scaled, store_fp)| {
-                let report = sim(cfg, scaled);
-                if let Some(store) = store {
-                    store.put(*store_fp, scaled.name, &report);
-                }
-                report
-            },
+            |_, (cfg, scaled, store_fp)| simulate_and_persist(&sim, store, *store_fp, cfg, scaled),
         );
         for ((cfg, scaled, _), report) in planned.iter().zip(grid.results) {
             if let Some(report) = report {
@@ -561,37 +471,6 @@ impl Memo {
             .collect()
     }
 
-    /// Runs every pair of `pairs` (scaled, memoized), executing the
-    /// uncached ones in parallel across `MCM_JOBS` workers, and returns
-    /// the reports in grid order.
-    pub fn run_grid(&mut self, pairs: &[(&SystemConfig, &WorkloadSpec)]) -> Vec<RunReport> {
-        self.run_grid_with_jobs(mcm_exec::jobs(), pairs)
-    }
-
-    /// [`Memo::run_grid`] with an explicit worker count.
-    pub fn run_grid_with_jobs(
-        &mut self,
-        jobs: usize,
-        pairs: &[(&SystemConfig, &WorkloadSpec)],
-    ) -> Vec<RunReport> {
-        self.warm_with_jobs(jobs, pairs);
-        pairs
-            .iter()
-            .map(|(cfg, spec)| self.run(cfg, spec))
-            .collect()
-    }
-
-    /// Runs every workload in `suite` on `cfg`, the uncached ones in
-    /// parallel; results come back in suite order.
-    pub fn run_suite_parallel(
-        &mut self,
-        cfg: &SystemConfig,
-        suite: &[WorkloadSpec],
-    ) -> Vec<RunReport> {
-        let pairs: Vec<(&SystemConfig, &WorkloadSpec)> = suite.iter().map(|w| (cfg, w)).collect();
-        self.run_grid(&pairs)
-    }
-
     /// This instance's hit/miss/warm accounting.
     pub fn stats(&self) -> MemoStats {
         self.stats
@@ -606,8 +485,8 @@ impl Memo {
     }
 }
 
-/// One quarantined `(configuration, workload)` pair from a supervised
-/// warm ([`Memo::warm_supervised_with_jobs`]): the pair's names plus
+/// One quarantined `(configuration, workload)` pair from a warm
+/// ([`Memo::warm_with_jobs`]): the pair's names plus
 /// the underlying executor-level [`TaskFailure`] (grid index, attempt
 /// count, last panic message).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -630,12 +509,61 @@ impl std::fmt::Display for PairFailure {
     }
 }
 
-/// Prints a supervised warm's quarantine report to stderr, one line
-/// per poisoned pair, in grid order. No output when nothing failed.
-pub fn report_quarantined(failures: &[PairFailure]) {
-    for f in failures {
-        eprintln!("mcm: exec: {f}");
+/// Prints a warm's quarantine report to stderr, one line per poisoned
+/// pair in grid order, then panics naming every one of them. No output
+/// and no panic when nothing failed.
+fn raise_quarantined(failures: &[PairFailure]) {
+    if failures.is_empty() {
+        return;
     }
+    let lines: Vec<String> = failures.iter().map(ToString::to_string).collect();
+    for line in &lines {
+        eprintln!("mcm: exec: {line}");
+    }
+    panic!(
+        "{} pair(s) quarantined after the rest of the sweep completed: {}",
+        failures.len(),
+        lines.join("; ")
+    );
+}
+
+/// The persistent store `MCM_STORE=<dir>` names, or `None` when unset.
+///
+/// # Panics
+///
+/// Panics when `MCM_STORE` is set but the directory cannot be opened at
+/// all (cannot be created or listed) — a mistyped knob must abort the
+/// run, not silently fall back to volatile caching.
+pub(crate) fn env_store() -> Option<Store> {
+    let dir = PathBuf::from(std::env::var_os("MCM_STORE")?);
+    Some(Store::open(&dir).unwrap_or_else(|e| {
+        panic!(
+            "MCM_STORE: cannot open result store at {}: {e}",
+            dir.display()
+        )
+    }))
+}
+
+/// Simulates one already-scaled pair with `sim` and, when a store is
+/// attached, durably commits the report under `fingerprint` (see
+/// [`pair_fingerprint`]) before returning it. The one simulate-then-
+/// persist step behind [`Memo::run`], [`Memo::warm`] and the sweep
+/// service's backend.
+pub(crate) fn simulate_and_persist<G>(
+    sim: G,
+    store: Option<&Store>,
+    fingerprint: u64,
+    cfg: &SystemConfig,
+    scaled: &WorkloadSpec,
+) -> RunReport
+where
+    G: Fn(&SystemConfig, &WorkloadSpec) -> RunReport,
+{
+    let report = sim(cfg, scaled);
+    if let Some(store) = store {
+        store.put(fingerprint, scaled.name, &report);
+    }
+    report
 }
 
 /// The time-series bucket width in cycles, read from
@@ -724,7 +652,7 @@ pub fn artifact_stem(cfg: &SystemConfig, spec: &WorkloadSpec) -> String {
 /// one of the environment knobs holds an invalid value.
 pub fn run_instrumented(cfg: &SystemConfig, spec: &WorkloadSpec) -> RunReport {
     // The scripted worker fault (a no-op unless MCM_FAULT_TASK_PANIC
-    // is set): the deterministic crash the supervised executor is
+    // is set): the deterministic crash the grid executor is
     // exercised against.
     mcm_fault::inject::scripted_task_panic(&cfg.name, spec.name);
     let stem = artifact_stem(cfg, spec);
@@ -1001,7 +929,20 @@ pub fn bar(value: f64, max: f64, width: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mcm_exec::pool::panic_message;
     use mcm_workloads::suite;
+    use std::panic::AssertUnwindSafe;
+
+    /// Runs every pair of `pairs` through [`Memo::warm_with_jobs`] and
+    /// then [`Memo::run`], returning the reports in grid order.
+    fn warm_then_run(
+        memo: &mut Memo,
+        jobs: usize,
+        pairs: &[(&SystemConfig, &WorkloadSpec)],
+    ) -> Vec<RunReport> {
+        assert!(memo.warm_with_jobs(jobs, pairs).is_empty());
+        pairs.iter().map(|(c, w)| memo.run(c, w)).collect()
+    }
 
     #[test]
     fn env_values_parse_and_unset_is_none() {
@@ -1097,10 +1038,14 @@ mod tests {
         let w1 = suite::by_name("CFD").unwrap();
         let w2 = suite::by_name("Stream").unwrap();
         // Duplicates in the grid plan once.
-        memo.warm_with_jobs(2, &[(&cfg, &w1), (&cfg, &w1), (&opt, &w2)]);
+        assert!(memo
+            .warm_with_jobs(2, &[(&cfg, &w1), (&cfg, &w1), (&opt, &w2)])
+            .is_empty());
         assert_eq!(memo.cache.len(), 2);
         // Warm again: everything is a cache hit, nothing re-plans.
-        memo.warm_with_jobs(2, &[(&cfg, &w1), (&opt, &w2)]);
+        assert!(memo
+            .warm_with_jobs(2, &[(&cfg, &w1), (&opt, &w2)])
+            .is_empty());
         assert_eq!(memo.cache.len(), 2);
     }
 
@@ -1113,7 +1058,9 @@ mod tests {
         assert_eq!(memo.stats(), MemoStats::default());
         memo.run(&cfg, &w1); // miss
         memo.run(&cfg, &w1); // hit
-        memo.warm_with_jobs(1, &[(&cfg, &w1), (&cfg, &w2), (&cfg, &w2)]);
+        assert!(memo
+            .warm_with_jobs(1, &[(&cfg, &w1), (&cfg, &w2), (&cfg, &w2)])
+            .is_empty());
         memo.run(&cfg, &w2); // hit (warm filled it)
         let s = memo.stats();
         assert_eq!(s.misses, 1);
@@ -1125,7 +1072,7 @@ mod tests {
     }
 
     #[test]
-    fn run_grid_matches_serial_runs_in_grid_order() {
+    fn warmed_grid_matches_serial_runs_in_grid_order() {
         let cfg = SystemConfig::baseline_mcm();
         let opt = SystemConfig::optimized_mcm();
         let w1 = suite::by_name("CFD").unwrap();
@@ -1135,23 +1082,21 @@ mod tests {
         let mut serial = Memo::new(0.01);
         let expect: Vec<RunReport> = pairs.iter().map(|(c, w)| serial.run(c, w)).collect();
 
-        let mut parallel = Memo::new(0.01);
-        let got = parallel.run_grid_with_jobs(3, &pairs);
+        let got = warm_then_run(&mut Memo::new(0.01), 3, &pairs);
         assert_eq!(got, expect);
     }
 
     #[test]
-    fn run_suite_parallel_matches_run_suite() {
+    fn warmed_suite_matches_serial_runs() {
         let cfg = SystemConfig::baseline_mcm();
         let subset: Vec<WorkloadSpec> = ["CFD", "Stream", "Hotspot"]
             .iter()
             .map(|n| suite::by_name(n).unwrap())
             .collect();
         let mut a = Memo::new(0.01);
-        let mut b = Memo::new(0.01);
         let pairs: Vec<(&SystemConfig, &WorkloadSpec)> = subset.iter().map(|w| (&cfg, w)).collect();
-        b.warm_with_jobs(4, &pairs);
-        assert_eq!(a.run_suite(&cfg, &subset), b.run_suite(&cfg, &subset));
+        let serial: Vec<RunReport> = subset.iter().map(|w| a.run(&cfg, w)).collect();
+        assert_eq!(serial, warm_then_run(&mut Memo::new(0.01), 4, &pairs));
     }
 
     #[test]
@@ -1296,12 +1241,12 @@ mod tests {
         let w2 = suite::by_name("Stream").unwrap();
         let pairs = [(&cfg, &w1), (&opt, &w1), (&cfg, &w2), (&opt, &w2)];
         let mut cold = Memo::with_store(0.01, Store::open(dir.path()).unwrap());
-        cold.warm_with_jobs(3, &pairs);
+        assert!(cold.warm_with_jobs(3, &pairs).is_empty());
         assert_eq!(cold.store().unwrap().stats().puts, 4);
         let expect: Vec<RunReport> = pairs.iter().map(|(c, w)| cold.run(c, w)).collect();
         drop(cold);
         let mut warm = Memo::with_store(0.01, Store::open(dir.path()).unwrap());
-        warm.warm_with_jobs(3, &pairs);
+        assert!(warm.warm_with_jobs(3, &pairs).is_empty());
         assert_eq!(warm.stats().warm_planned, 0, "everything on disk");
         assert_eq!(warm.stats().store_hits, 4);
         let got: Vec<RunReport> = pairs.iter().map(|(c, w)| warm.run(c, w)).collect();
@@ -1309,7 +1254,7 @@ mod tests {
     }
 
     #[test]
-    fn supervised_warm_quarantines_named_pairs_identically_at_any_job_count() {
+    fn warm_quarantines_named_pairs_identically_at_any_job_count() {
         let cfg = SystemConfig::baseline_mcm();
         let opt = SystemConfig::optimized_mcm();
         let w1 = suite::by_name("CFD").unwrap();
@@ -1317,7 +1262,7 @@ mod tests {
         let pairs = [(&cfg, &w1), (&opt, &w1), (&cfg, &w2), (&opt, &w2)];
         let check = |jobs: usize| -> Vec<PairFailure> {
             let mut memo = Memo::new(0.01);
-            memo.warm_supervised_runner(jobs, 1, &pairs, |cfg, scaled| {
+            memo.warm_runner(jobs, 1, &pairs, |cfg, scaled| {
                 assert!(
                     !(cfg.name == opt.name && scaled.name == "CFD"),
                     "injected fault"
@@ -1339,13 +1284,13 @@ mod tests {
     }
 
     #[test]
-    fn supervised_warm_completes_and_caches_healthy_pairs() {
+    fn warm_completes_and_caches_healthy_pairs() {
         let cfg = SystemConfig::baseline_mcm();
         let w1 = suite::by_name("CFD").unwrap();
         let w2 = suite::by_name("Stream").unwrap();
         let pairs = [(&cfg, &w1), (&cfg, &w2)];
         let mut memo = Memo::new(0.01);
-        let failures = memo.warm_supervised_runner(2, 0, &pairs, |cfg, scaled| {
+        let failures = memo.warm_runner(2, 0, &pairs, |cfg, scaled| {
             assert!(scaled.name != "Stream", "bad workload");
             run_instrumented(cfg, scaled)
         });
@@ -1360,19 +1305,20 @@ mod tests {
         assert_eq!(memo.stats().misses, 1, "quarantined pair re-simulates");
     }
 
+    /// `warm`'s panic (after quarantine) names the configuration, the
+    /// workload and the original message.
     #[test]
-    fn unsupervised_warm_panics_name_the_pair() {
+    fn warm_panics_name_the_quarantined_pair() {
         let cfg = SystemConfig::baseline_mcm();
         let w1 = suite::by_name("CFD").unwrap();
         let mut memo = Memo::new(0.01);
-        let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            memo.warm_with_jobs_runner(1, &[(&cfg, &w1)], |_, _| -> RunReport {
-                panic!("sim exploded")
-            });
-        }))
-        .expect_err("warm must propagate the panic");
+        let failures = memo.warm_runner(1, 1, &[(&cfg, &w1)], |_, _| -> RunReport {
+            panic!("sim exploded")
+        });
+        let caught = std::panic::catch_unwind(AssertUnwindSafe(|| raise_quarantined(&failures)))
+            .expect_err("warm must panic on a quarantined pair");
         let msg = panic_message(caught.as_ref());
-        assert!(msg.contains("grid worker panicked"), "{msg:?}");
+        assert!(msg.contains("quarantined"), "{msg:?}");
         assert!(msg.contains(&format!("{:?}", cfg.name)), "{msg:?}");
         assert!(msg.contains("\"CFD\""), "{msg:?}");
         assert!(msg.contains("sim exploded"), "{msg:?}");

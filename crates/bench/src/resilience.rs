@@ -144,9 +144,18 @@ pub fn sweep_with_jobs(jobs: usize, scale: f64, seed: u64) -> Vec<CurvePoint> {
             scenario_tag: "gpm-loss".to_string(),
         });
     }
-    let reports = mcm_exec::pool::run_grid(&planned, jobs, mcm_exec::DEFAULT_SEED, |_, run| {
-        run.execute(&cfg, seed)
-    });
+    let grid = mcm_exec::pool::run_grid(
+        &planned,
+        jobs,
+        mcm_exec::DEFAULT_SEED,
+        mcm_exec::retries(),
+        |_, run| run.execute(&cfg, seed),
+    );
+    if let Some(f) = grid.failures.first() {
+        let run = &planned[f.index];
+        panic!("({:?}, {:?}): {f}", run.spec.name, run.scenario_tag);
+    }
+    let reports = grid.into_complete();
     // Slowdowns are relative to each workload's healthy run, which
     // leads its block of the grid.
     let runs_per_spec = RATES.len() + 1;

@@ -10,7 +10,6 @@
 //! shared in-flight subscription — returns identical bytes.
 
 use std::collections::{BTreeMap, HashMap};
-use std::path::PathBuf;
 use std::sync::Mutex;
 
 use mcm_gpu::SystemConfig;
@@ -19,7 +18,7 @@ use mcm_serve::{Backend, PairKey};
 use mcm_store::Store;
 use mcm_workloads::{suite, WorkloadSpec};
 
-use crate::harness::{pair_fingerprint, run_instrumented, scale};
+use crate::harness::{env_store, pair_fingerprint, run_instrumented, scale, simulate_and_persist};
 
 /// The configurations a sweep request can name, keyed by short name.
 /// Sorted (BTreeMap) so error messages and listings are deterministic.
@@ -81,16 +80,7 @@ impl MemoBackend {
     /// Panics when `MCM_STORE` is set but the directory cannot be
     /// opened (mistyped knobs abort; see `Memo::from_env`).
     pub fn from_env() -> Self {
-        let store = std::env::var_os("MCM_STORE").map(|dir| {
-            let dir = PathBuf::from(dir);
-            Store::open(&dir).unwrap_or_else(|e| {
-                panic!(
-                    "MCM_STORE: cannot open result store at {}: {e}",
-                    dir.display()
-                )
-            })
-        });
-        MemoBackend::new(scale(), store)
+        MemoBackend::new(scale(), env_store())
     }
 
     /// The preset names this backend resolves, sorted.
@@ -157,10 +147,13 @@ impl Backend for MemoBackend {
         let spec = self
             .spec(&key.workload)
             .expect("resolve() vetted the workload name");
-        let report = run_instrumented(cfg, &spec.scaled(self.scale));
-        if let Some(store) = &self.store {
-            store.put(key.fingerprint, spec.name, &report);
-        }
+        let report = simulate_and_persist(
+            run_instrumented,
+            self.store.as_ref(),
+            key.fingerprint,
+            cfg,
+            &spec.scaled(self.scale),
+        );
         self.rendered_put(key.fingerprint, render_report(&report))
     }
 
@@ -181,6 +174,22 @@ mod tests {
         assert!(err.contains("unknown config") && err.contains("baseline"));
         let err = backend.resolve("baseline", "nope").unwrap_err();
         assert!(err.contains("unknown workload"));
+    }
+
+    #[test]
+    fn the_longest_valid_request_sits_well_under_the_line_cap() {
+        let backend = MemoBackend::new(0.1, None);
+        let longest = mcm_serve::protocol::Request::Sweep {
+            id: u64::MAX,
+            configs: backend.preset_names(),
+            workloads: backend.all_workloads(),
+        }
+        .render();
+        assert!(
+            longest.len() * 16 < mcm_serve::service::MAX_REQUEST_LINE,
+            "{} bytes",
+            longest.len()
+        );
     }
 
     #[test]

@@ -25,6 +25,18 @@ const GOLDEN: &[(&str, u64, u64)] = &[
     ("DWT", 2799, 1898),
 ];
 
+/// Warms `pairs` at `jobs` workers, then reads every report back in
+/// grid order.
+fn warm_then_run(
+    memo: &mut Memo,
+    jobs: usize,
+    pairs: &[(&SystemConfig, &WorkloadSpec)],
+) -> Vec<RunReport> {
+    let failures = memo.warm_with_jobs(jobs, pairs);
+    assert!(failures.is_empty(), "quarantined: {failures:?}");
+    pairs.iter().map(|(c, w)| memo.run(c, w)).collect()
+}
+
 #[test]
 fn parallel_grid_reproduces_the_golden_serial_counts() {
     let baseline = SystemConfig::baseline_mcm();
@@ -37,8 +49,7 @@ fn parallel_grid_reproduces_the_golden_serial_counts() {
         .iter()
         .flat_map(|w| [(&baseline, w), (&optimized, w)])
         .collect();
-    let mut memo = Memo::new(0.02);
-    let reports = memo.run_grid_with_jobs(8, &pairs);
+    let reports = warm_then_run(&mut Memo::new(0.02), 8, &pairs);
     for (&(name, want_base, want_opt), chunk) in GOLDEN.iter().zip(reports.chunks(2)) {
         assert_eq!(
             chunk[0].cycles.as_u64(),
@@ -72,8 +83,7 @@ fn reports_are_job_count_invariant() {
         .collect();
     let mut results: Vec<Vec<RunReport>> = Vec::new();
     for jobs in [1, 2, 8] {
-        let mut memo = Memo::new(0.01);
-        results.push(memo.run_grid_with_jobs(jobs, &pairs));
+        results.push(warm_then_run(&mut Memo::new(0.01), jobs, &pairs));
     }
     assert_eq!(results[0], results[1], "jobs=1 vs jobs=2 diverged");
     assert_eq!(results[0], results[2], "jobs=1 vs jobs=8 diverged");

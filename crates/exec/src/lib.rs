@@ -15,16 +15,14 @@
 //!   threads, no detached workers) that executes one closure per grid
 //!   item and merges the results **in grid order**, regardless of which
 //!   worker ran what when. The merge asserts that no index was dropped
-//!   or duplicated. A task panic fails the whole grid fast, and the
-//!   propagated panic names the poisoned grid index and carries the
-//!   original message.
-//! * [`pool::run_grid_supervised`] — the self-healing variant
-//!   ([`supervised`], `MCM_SUPERVISED=1`): task panics are isolated,
-//!   failing items are retried a bounded number of times
-//!   ([`retries`], `MCM_RETRIES`), and items that still fail are
-//!   quarantined into a structured [`pool::TaskFailure`] report while
-//!   the rest of the grid completes. The report is byte-identical at
-//!   every job count.
+//!   or duplicated. Every task is supervised: a panic is isolated, the
+//!   item is retried a bounded number of times ([`retries`],
+//!   `MCM_RETRIES`), and an item that still fails is quarantined into a
+//!   structured [`pool::TaskFailure`] report while the rest of the grid
+//!   completes. The report is byte-identical at every job count.
+//!   Callers that need the whole grid use
+//!   [`pool::SupervisedGrid::into_complete`]: quarantine, then panic
+//!   naming every failed item.
 //! * [`barrier::ShardBarrier`] + [`barrier::run_shards`] — a reusable,
 //!   abortable epoch barrier for teams of shards co-simulating a
 //!   *single* run (the PDES mode), with panic-safe teardown.
@@ -45,8 +43,8 @@
 //! # Example
 //!
 //! ```
-//! let squares = mcm_exec::pool::run_grid(&[1u64, 2, 3, 4], 2, mcm_exec::DEFAULT_SEED, |_, &x| x * x);
-//! assert_eq!(squares, vec![1, 4, 9, 16]);
+//! let grid = mcm_exec::pool::run_grid(&[1u64, 2, 3, 4], 2, mcm_exec::DEFAULT_SEED, 1, |_, &x| x * x);
+//! assert_eq!(grid.into_complete(), vec![1, 4, 9, 16]);
 //! ```
 
 #![warn(missing_docs)]
@@ -84,26 +82,7 @@ pub fn jobs() -> usize {
     }
 }
 
-/// Whether sweep harnesses should run under the supervised executor
-/// ([`pool::run_grid_supervised`]), read from `MCM_SUPERVISED`. `1`
-/// enables supervision; `0` or unset keeps the fail-fast default, so
-/// every golden-output gate is untouched.
-///
-/// # Panics
-///
-/// Panics when `MCM_SUPERVISED` is set to anything but `0` or `1`.
-pub fn supervised() -> bool {
-    match std::env::var("MCM_SUPERVISED") {
-        Ok(raw) => match raw.trim() {
-            "1" => true,
-            "0" => false,
-            _ => panic!("MCM_SUPERVISED must be 0 or 1, got {raw:?}"),
-        },
-        Err(_) => false,
-    }
-}
-
-/// How many times the supervised executor re-attempts a panicking grid
+/// How many times [`pool::run_grid`] re-attempts a panicking grid
 /// item before quarantining it, read from `MCM_RETRIES` (default 1).
 /// `0` quarantines on the first panic.
 ///
@@ -131,8 +110,7 @@ mod tests {
 
     #[test]
     fn supervision_knobs_default_off() {
-        // The test process sets neither knob, so the defaults run.
-        assert!(!super::supervised());
+        // The test process does not set MCM_RETRIES, so the default runs.
         assert_eq!(super::retries(), 1);
     }
 }

@@ -1,9 +1,8 @@
-//! The bounded scoped thread pool, the grid-order merge, and the
-//! supervised (panic-isolating, retrying, quarantining) runner.
+//! The bounded scoped thread pool and its grid-order merge. Every task
+//! is supervised: panics are isolated, retried, and quarantined.
 
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
 
@@ -25,14 +24,13 @@ struct ExecTele {
     busy_ns: Counter,
     idle_ns: Counter,
     task_ns: Histogram,
-    /// Panics caught inside workers. Volatile: in the *unsupervised*
-    /// fail-fast path, how many tasks ran before the poison flag
-    /// stopped the grid depends on thread scheduling.
+    /// Panics caught inside workers. Deterministic: every failing task
+    /// is attempted exactly `1 + retries` times at any job count.
     task_panics: Counter,
-    /// Supervised re-attempts. Deterministic: every failing task is
-    /// retried exactly the configured count at any job count.
+    /// Re-attempts. Deterministic: every failing task is retried
+    /// exactly the configured count at any job count.
     retries: Counter,
-    /// Supervised tasks quarantined after exhausting their retries.
+    /// Tasks quarantined after exhausting their retries.
     quarantined: Counter,
 }
 
@@ -62,7 +60,7 @@ fn tele() -> &'static ExecTele {
             busy_ns: reg.counter("exec.busy_ns", Class::Volatile),
             idle_ns: reg.counter("exec.idle_ns", Class::Volatile),
             task_ns: reg.histogram("exec.task_ns", Class::Volatile, &TASK_NS_BOUNDS),
-            task_panics: reg.counter("exec.task_panics", Class::Volatile),
+            task_panics: reg.counter("exec.task_panics", Class::Deterministic),
             retries: reg.counter("exec.retries", Class::Deterministic),
             quarantined: reg.counter("exec.quarantined", Class::Deterministic),
         }
@@ -73,9 +71,9 @@ fn tele() -> &'static ExecTele {
 /// `panic!("...")` yields `&str` or `String`; a `panic_any` with a
 /// common scalar payload is rendered with its type and value; anything
 /// else is named by its `TypeId` rather than dropped — the cause of a
-/// failure must never degrade to an empty placeholder.  Public so
-/// harnesses that wrap task closures in their own `catch_unwind` (to
-/// attach context before re-raising) render payloads the same way.
+/// failure must never degrade to an empty placeholder. Public so the
+/// other panic-isolating layers (the service pool, the sweep service)
+/// render payloads the same way.
 pub fn panic_message(payload: &(dyn Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         return (*s).to_string();
@@ -95,9 +93,9 @@ pub fn panic_message(payload: &(dyn Any + Send)) -> String {
 }
 
 /// One quarantined grid item: the exact identity of the poisoned work,
-/// how often it was attempted, and the last panic message. The
-/// supervised runner returns these sorted by grid index, so the report
-/// is byte-identical at every job count.
+/// how often it was attempted, and the last panic message.
+/// [`run_grid`] returns these sorted by grid index, so the report is
+/// byte-identical at every job count.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TaskFailure {
     /// The grid index of the failed item.
@@ -118,9 +116,8 @@ impl std::fmt::Display for TaskFailure {
     }
 }
 
-/// The outcome of a supervised grid run: per-item results in grid
-/// order (`None` exactly at quarantined indices) plus the structured
-/// failure report.
+/// The outcome of [`run_grid`]: per-item results in grid order (`None`
+/// exactly at quarantined indices) plus the structured failure report.
 #[derive(Debug)]
 pub struct SupervisedGrid<R> {
     /// `results[i]` is `Some(f(i, &items[i]))`, or `None` when item
@@ -134,6 +131,26 @@ impl<R> SupervisedGrid<R> {
     /// True when every grid item completed.
     pub fn is_complete(&self) -> bool {
         self.failures.is_empty()
+    }
+
+    /// The results of a grid that must be whole, in grid order.
+    ///
+    /// # Panics
+    ///
+    /// Panics when any item was quarantined, naming every quarantined
+    /// grid index with its attempt count and last panic message. The
+    /// grid has already run to the end by then, so every healthy item
+    /// did its work (and any side effects, such as persisting, landed).
+    pub fn into_complete(self) -> Vec<R> {
+        if !self.is_complete() {
+            let report: Vec<String> = self.failures.iter().map(ToString::to_string).collect();
+            panic!(
+                "{} grid item(s) failed: {}",
+                self.failures.len(),
+                report.join("; ")
+            );
+        }
+        self.results.into_iter().flatten().collect()
     }
 }
 
@@ -170,117 +187,20 @@ where
 }
 
 /// Runs `f` once per grid item across at most `jobs` worker threads and
-/// returns the results **in grid order** — element `i` of the returned
-/// vector is `f(i, &items[i])` no matter which worker computed it or
-/// when. `jobs <= 1` (or a grid of at most one item) runs serially in
-/// the caller's thread with no pool at all, so `MCM_JOBS=1` is
-/// bit-identical to the pre-parallel code path by construction.
+/// returns the results **in grid order** — element `i` of
+/// [`SupervisedGrid::results`] is `f(i, &items[i])` no matter which
+/// worker computed it or when. `jobs <= 1` (or a grid of at most one
+/// item) runs serially in the caller's thread with no pool at all, so
+/// `MCM_JOBS=1` is bit-identical to a plain serial loop by construction.
 ///
 /// `seed` drives steal-victim selection only; see [`crate::DEFAULT_SEED`].
 ///
-/// # Panics
-///
-/// Panics if a worker closure panics. The propagated panic names the
-/// poisoned grid index *and* carries the original message (`"grid
-/// worker panicked at grid index 13: unlucky"`) — the payload used to
-/// be discarded by a bare `join().expect`, leaving no way to tell
-/// which item of a thousand-pair sweep was poisoned. Also panics if
-/// the merge finds a dropped or duplicated grid index — the queue
-/// makes that impossible, and the assert keeps it that way.
-pub fn run_grid<T, R, F>(items: &[T], jobs: usize, seed: u64, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    let t = tele();
-    t.grids.inc();
-    t.tasks.add(items.len() as u64);
-    let jobs = jobs.max(1).min(items.len().max(1));
-    if jobs <= 1 {
-        return items
-            .iter()
-            .enumerate()
-            .map(|(i, item)| {
-                catch_unwind(AssertUnwindSafe(|| f(i, item))).unwrap_or_else(|payload| {
-                    t.task_panics.inc();
-                    panic!(
-                        "grid worker panicked at grid index {i}: {}",
-                        panic_message(payload.as_ref())
-                    )
-                })
-            })
-            .collect();
-    }
-    t.pools.inc();
-    t.workers.add(jobs as u64);
-    let queue = GridQueue::new_balanced(items.len(), jobs);
-    let initial_depth = queue.deck_depths().into_iter().max().unwrap_or(0);
-    t.queue_depth_hw.record_max(initial_depth as u64);
-    // Fail-fast poison flag: after any task panics, workers stop
-    // drawing new items so the doomed grid winds down promptly.
-    let poisoned = AtomicBool::new(false);
-    // Per-worker results, and the first panic each worker observed
-    // (grid index + rendered message), if any.
-    type WorkerYield<R> = (Vec<Vec<(usize, R)>>, Vec<Option<(usize, String)>>);
-    let (buckets, failures): WorkerYield<R> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..jobs)
-            .map(|w| {
-                let queue = &queue;
-                let f = &f;
-                let poisoned = &poisoned;
-                scope.spawn(move || {
-                    let spawned = Instant::now();
-                    let mut busy_ns = 0u64;
-                    let mut state = WorkerState::seeded(seed, w);
-                    let mut out = Vec::new();
-                    let mut failure = None;
-                    while !poisoned.load(Ordering::Relaxed) {
-                        let Some(i) = queue.next_item(w, &mut state) else {
-                            break;
-                        };
-                        let began = Instant::now();
-                        match catch_unwind(AssertUnwindSafe(|| f(i, &items[i]))) {
-                            Ok(r) => out.push((i, r)),
-                            Err(payload) => {
-                                t.task_panics.inc();
-                                failure = Some((i, panic_message(payload.as_ref())));
-                                poisoned.store(true, Ordering::Relaxed);
-                                break;
-                            }
-                        }
-                        let took = began.elapsed().as_nanos() as u64;
-                        busy_ns += took;
-                        t.task_ns.observe(took);
-                    }
-                    let stats = state.stats();
-                    t.steals.add(stats.steals);
-                    t.steal_failures.add(stats.steal_failures);
-                    t.busy_ns.add(busy_ns);
-                    t.idle_ns
-                        .add((spawned.elapsed().as_nanos() as u64).saturating_sub(busy_ns));
-                    (out, failure)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("grid worker thread died outside a task"))
-            .unzip()
-    });
-    // Several workers may each have caught a panic before observing the
-    // flag; report the lowest grid index for a stable message.
-    if let Some((i, message)) = failures.into_iter().flatten().min() {
-        panic!("grid worker panicked at grid index {i}: {message}");
-    }
-    merge_grid(buckets, items.len())
-}
-
-/// The supervised variant of [`run_grid`]: task panics are isolated
-/// with `catch_unwind` instead of aborting the sweep, each failing item
-/// is retried a bounded `retries` more times, and items that still fail
-/// are quarantined into the returned [`SupervisedGrid::failures`]
-/// report — while every other grid item completes normally.
+/// Every task is supervised: a panic is caught with `catch_unwind`, the
+/// item is retried up to `retries` more times, and an item that still
+/// fails is quarantined into [`SupervisedGrid::failures`] while every
+/// other grid item completes normally. Callers that cannot use a
+/// partial grid call [`SupervisedGrid::into_complete`], which panics
+/// only after the whole grid has run.
 ///
 /// Determinism: each item's attempt sequence runs on a single worker,
 /// back to back, so the failure report (indices, attempt counts,
@@ -289,8 +209,9 @@ where
 ///
 /// # Panics
 ///
-/// Panics only if the merge finds a dropped or duplicated grid index.
-pub fn run_grid_supervised<T, R, F>(
+/// Panics only if the merge finds a dropped or duplicated grid index —
+/// the queue makes that impossible, and the assert keeps it that way.
+pub fn run_grid<T, R, F>(
     items: &[T],
     jobs: usize,
     seed: u64,
@@ -306,81 +227,57 @@ where
     t.grids.inc();
     t.tasks.add(items.len() as u64);
     let jobs = jobs.max(1).min(items.len().max(1));
-    if jobs <= 1 {
-        let mut results = Vec::with_capacity(items.len());
-        let mut failures = Vec::new();
-        for (i, item) in items.iter().enumerate() {
-            match attempt_task(&f, i, item, retries) {
-                Ok(r) => results.push(Some(r)),
-                Err(fail) => {
-                    results.push(None);
-                    failures.push(fail);
-                }
-            }
-        }
-        return SupervisedGrid { results, failures };
-    }
-    t.pools.inc();
-    t.workers.add(jobs as u64);
-    let queue = GridQueue::new_balanced(items.len(), jobs);
-    let initial_depth = queue.deck_depths().into_iter().max().unwrap_or(0);
-    t.queue_depth_hw.record_max(initial_depth as u64);
-    let buckets: Vec<Vec<(usize, Result<R, TaskFailure>)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..jobs)
-            .map(|w| {
-                let queue = &queue;
-                let f = &f;
-                scope.spawn(move || {
-                    let spawned = Instant::now();
-                    let mut busy_ns = 0u64;
-                    let mut state = WorkerState::seeded(seed, w);
-                    let mut out = Vec::new();
-                    while let Some(i) = queue.next_item(w, &mut state) {
-                        let began = Instant::now();
-                        out.push((i, attempt_task(f, i, &items[i], retries)));
-                        let took = began.elapsed().as_nanos() as u64;
-                        busy_ns += took;
-                        t.task_ns.observe(took);
-                    }
-                    let stats = state.stats();
-                    t.steals.add(stats.steals);
-                    t.steal_failures.add(stats.steal_failures);
-                    t.busy_ns.add(busy_ns);
-                    t.idle_ns
-                        .add((spawned.elapsed().as_nanos() as u64).saturating_sub(busy_ns));
-                    out
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("grid worker thread died outside a task"))
+    let outcomes = if jobs <= 1 {
+        items
+            .iter()
+            .enumerate()
+            .map(|(i, item)| attempt_task(&f, i, item, retries))
             .collect()
-    });
-    let mut merged: Vec<(usize, Result<R, TaskFailure>)> = buckets.into_iter().flatten().collect();
-    merged.sort_by_key(|&(i, _)| i);
-    assert_eq!(
-        merged.len(),
-        items.len(),
-        "supervised executor completed {} of {} grid items — dropped or duplicated work",
-        merged.len(),
-        items.len()
-    );
-    let mut results = Vec::with_capacity(items.len());
+    } else {
+        t.pools.inc();
+        t.workers.add(jobs as u64);
+        let queue = GridQueue::new_balanced(items.len(), jobs);
+        let initial_depth = queue.deck_depths().into_iter().max().unwrap_or(0);
+        t.queue_depth_hw.record_max(initial_depth as u64);
+        let buckets = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..jobs)
+                .map(|w| {
+                    let queue = &queue;
+                    let f = &f;
+                    scope.spawn(move || {
+                        let spawned = Instant::now();
+                        let mut busy_ns = 0u64;
+                        let mut state = WorkerState::seeded(seed, w);
+                        let mut out = Vec::new();
+                        while let Some(i) = queue.next_item(w, &mut state) {
+                            let began = Instant::now();
+                            out.push((i, attempt_task(f, i, &items[i], retries)));
+                            let took = began.elapsed().as_nanos() as u64;
+                            busy_ns += took;
+                            t.task_ns.observe(took);
+                        }
+                        let stats = state.stats();
+                        t.steals.add(stats.steals);
+                        t.steal_failures.add(stats.steal_failures);
+                        t.busy_ns.add(busy_ns);
+                        t.idle_ns
+                            .add((spawned.elapsed().as_nanos() as u64).saturating_sub(busy_ns));
+                        out
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("grid worker thread died outside a task"))
+                .collect()
+        });
+        merge_grid(buckets, items.len())
+    };
     let mut failures = Vec::new();
-    for (pos, (i, r)) in merged.into_iter().enumerate() {
-        assert_eq!(
-            pos, i,
-            "grid index {i} appears out of place (duplicate or gap)"
-        );
-        match r {
-            Ok(r) => results.push(Some(r)),
-            Err(fail) => {
-                results.push(None);
-                failures.push(fail);
-            }
-        }
-    }
+    let results = outcomes
+        .into_iter()
+        .map(|outcome: Result<R, TaskFailure>| outcome.map_err(|fail| failures.push(fail)).ok())
+        .collect();
     SupervisedGrid { results, failures }
 }
 
@@ -407,15 +304,26 @@ fn merge_grid<R>(buckets: Vec<Vec<(usize, R)>>, len: usize) -> Vec<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::Ordering;
+    use std::sync::{Mutex, MutexGuard, PoisonError};
+
+    /// Serializes the tests whose tasks panic, so one of them can read
+    /// the global `exec.task_panics` counter without the others adding
+    /// to it concurrently.
+    fn panicking_tests() -> MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 
     #[test]
     fn results_come_back_in_grid_order() {
         let items: Vec<u64> = (0..100).collect();
         for jobs in [1, 2, 3, 8] {
-            let out = run_grid(&items, jobs, crate::DEFAULT_SEED, |i, &x| {
+            let out = run_grid(&items, jobs, crate::DEFAULT_SEED, 0, |i, &x| {
                 assert_eq!(i as u64, x);
                 x * 3 + 1
-            });
+            })
+            .into_complete();
             assert_eq!(out, items.iter().map(|&x| x * 3 + 1).collect::<Vec<_>>());
         }
     }
@@ -423,26 +331,33 @@ mod tests {
     #[test]
     fn serial_and_parallel_agree() {
         let items: Vec<u64> = (0..57).collect();
-        let serial = run_grid(&items, 1, 7, |_, &x| x.wrapping_mul(0x9E37_79B9));
-        let parallel = run_grid(&items, 8, 7, |_, &x| x.wrapping_mul(0x9E37_79B9));
+        let run = |jobs| run_grid(&items, jobs, 7, 0, |_, &x| x.wrapping_mul(0x9E37_79B9));
+        let (serial, parallel) = (run(1).into_complete(), run(8).into_complete());
         assert_eq!(serial, parallel);
     }
 
     #[test]
     fn empty_and_singleton_grids() {
         let none: Vec<u32> = Vec::new();
-        assert!(run_grid(&none, 8, 1, |_, &x| x).is_empty());
-        assert_eq!(run_grid(&[9u32], 8, 1, |_, &x| x + 1), vec![10]);
+        assert!(run_grid(&none, 8, 1, 0, |_, &x| x)
+            .into_complete()
+            .is_empty());
+        assert_eq!(
+            run_grid(&[9u32], 8, 1, 0, |_, &x| x + 1).into_complete(),
+            vec![10]
+        );
     }
 
     #[test]
-    #[should_panic(expected = "grid worker panicked")]
+    #[should_panic(expected = "grid index 13 quarantined after 1 attempt(s): unlucky")]
     fn worker_panics_propagate() {
+        let _serial = panicking_tests();
         let items: Vec<u32> = (0..64).collect();
-        let _ = run_grid(&items, 4, 1, |_, &x| {
+        let _ = run_grid(&items, 4, 1, 0, |_, &x| {
             assert!(x != 13, "unlucky");
             x
-        });
+        })
+        .into_complete();
     }
 
     #[test]
@@ -459,8 +374,8 @@ mod tests {
         let grids = reg.counter("exec.grids", mcm_telemetry::Class::Deterministic);
         let (t0, g0) = (tasks.get(), grids.get());
         let items: Vec<u64> = (0..40).collect();
-        let _ = run_grid(&items, 4, 1, |_, &x| x);
-        let _ = run_grid(&items, 1, 1, |_, &x| x);
+        let _ = run_grid(&items, 4, 1, 0, |_, &x| x).into_complete();
+        let _ = run_grid(&items, 1, 1, 0, |_, &x| x).into_complete();
         // Other tests share the global registry, so assert lower bounds.
         assert!(tasks.get() - t0 >= 80, "both paths count tasks");
         assert!(grids.get() - g0 >= 2);
@@ -472,24 +387,25 @@ mod tests {
         assert!(r.is_err());
     }
 
-    /// Regression for the panic-context loss: the propagated panic must
-    /// name the poisoned grid index and carry the original message, in
-    /// both the serial and the pooled path.
+    /// Regression for the panic-context loss: the panic of
+    /// `into_complete` must name the poisoned grid index, its attempt
+    /// count and the original message, in both the serial and the
+    /// pooled path.
     #[test]
     fn worker_panics_carry_index_and_message() {
+        let _serial = panicking_tests();
         for jobs in [1, 4] {
             let items: Vec<u32> = (0..64).collect();
-            let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                run_grid(&items, jobs, 1, |_, &x| {
-                    assert!(x != 13, "unlucky");
-                    x
-                })
-            }))
-            .expect_err("grid must panic");
+            let grid = run_grid(&items, jobs, 1, 1, |_, &x| {
+                assert!(x != 13, "unlucky");
+                x
+            });
+            let caught = std::panic::catch_unwind(AssertUnwindSafe(|| grid.into_complete()))
+                .expect_err("an incomplete grid must panic");
             let msg = panic_message(caught.as_ref());
             assert!(
-                msg.contains("grid index 13"),
-                "jobs={jobs}: poisoned index missing from {msg:?}"
+                msg.contains("grid index 13 quarantined after 2 attempt(s)"),
+                "jobs={jobs}: poisoned index or attempt count missing from {msg:?}"
             );
             assert!(
                 msg.contains("unlucky"),
@@ -524,12 +440,13 @@ mod tests {
         );
     }
 
-    /// End-to-end: a supervised grid item that panics with a non-string
+    /// End-to-end: a grid item that panics with a non-string
     /// payload quarantines with the typed message, not a default.
     #[test]
-    fn supervised_failure_reports_non_string_payloads() {
+    fn quarantine_keeps_non_string_payloads() {
+        let _serial = panicking_tests();
         let items: Vec<u32> = (0..4).collect();
-        let grid = run_grid_supervised(&items, 1, 1, 0, |_, &x| {
+        let grid = run_grid(&items, 1, 1, 0, |_, &x| {
             if x == 2 {
                 std::panic::panic_any(x as i64);
             }
@@ -541,10 +458,11 @@ mod tests {
     }
 
     #[test]
-    fn supervised_quarantines_failures_and_completes_the_rest() {
+    fn quarantines_failures_and_completes_the_rest() {
+        let _serial = panicking_tests();
         let items: Vec<u32> = (0..64).collect();
         for jobs in [1, 4] {
-            let grid = run_grid_supervised(&items, jobs, 1, 0, |_, &x| {
+            let grid = run_grid(&items, jobs, 1, 0, |_, &x| {
                 assert!(x % 17 != 13, "cursed");
                 x * 2
             });
@@ -565,20 +483,30 @@ mod tests {
     }
 
     /// The quarantine report must be identical at every job count:
-    /// same indices, same attempt counts, same messages, same order.
+    /// same indices, same attempt counts, same messages, same order —
+    /// and so must the (deterministic-class) `exec.task_panics` delta.
     #[test]
-    fn supervised_report_is_job_count_invariant() {
+    fn quarantine_report_is_job_count_invariant() {
+        let _serial = panicking_tests();
+        let panics = mcm_telemetry::global()
+            .counter("exec.task_panics", mcm_telemetry::Class::Deterministic);
         let items: Vec<u32> = (0..48).collect();
         let run = |jobs| {
-            run_grid_supervised(&items, jobs, 1, 2, |i, &x| {
+            let before = panics.get();
+            let failures = run_grid(&items, jobs, 1, 2, |i, &x| {
                 assert!(x % 11 != 7, "bad item {i}");
                 x
             })
-            .failures
+            .failures;
+            (failures, panics.get() - before)
         };
-        let serial = run(1);
-        assert_eq!(serial, run(3));
-        assert_eq!(serial, run(8));
+        let (serial, serial_panics) = run(1);
+        for jobs in [3, 8] {
+            let (parallel, parallel_panics) = run(jobs);
+            assert_eq!(serial, parallel, "jobs={jobs}");
+            assert_eq!(serial_panics, parallel_panics, "jobs={jobs}");
+        }
+        assert_eq!(serial_panics, 12, "4 failing items x 3 attempts");
         assert_eq!(serial.len(), 4);
         assert!(serial.iter().all(|f| f.attempts == 3));
         assert_eq!(serial[0].message, "bad item 7");
@@ -587,11 +515,12 @@ mod tests {
     /// A task that panics transiently must succeed on retry and leave
     /// no quarantine entry.
     #[test]
-    fn supervised_retry_recovers_transient_panics() {
+    fn retry_recovers_transient_panics() {
         use std::sync::atomic::AtomicU32;
+        let _serial = panicking_tests();
         let attempts = AtomicU32::new(0);
         let items = [5u32];
-        let grid = run_grid_supervised(&items, 1, 1, 2, |_, &x| {
+        let grid = run_grid(&items, 1, 1, 2, |_, &x| {
             if attempts.fetch_add(1, Ordering::SeqCst) < 2 {
                 panic!("transient");
             }
@@ -603,9 +532,9 @@ mod tests {
     }
 
     #[test]
-    fn supervised_empty_grid_is_complete() {
+    fn empty_grid_is_complete() {
         let none: Vec<u32> = Vec::new();
-        let grid = run_grid_supervised(&none, 8, 1, 1, |_, &x| x);
+        let grid = run_grid(&none, 8, 1, 1, |_, &x| x);
         assert!(grid.is_complete());
         assert!(grid.results.is_empty());
     }

@@ -109,9 +109,10 @@ fn pool_matches_serial_map_under_random_job_counts() {
                 .iter()
                 .map(|&x| x.wrapping_mul(31).rotate_left(7))
                 .collect();
-            let got = run_grid(&items, jobs, seed, |_, &x| {
+            let got = run_grid(&items, jobs, seed, 0, |_, &x| {
                 x.wrapping_mul(31).rotate_left(7)
-            });
+            })
+            .into_complete();
             assert_eq!(got, expect, "len {len} jobs {jobs}");
         },
     );

@@ -30,7 +30,7 @@
 //! cannot starve a one-pair query from another connection.
 
 use std::collections::HashMap;
-use std::io::{self, BufRead, BufReader, Write as _};
+use std::io::{self, BufRead, BufReader, Read as _, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -46,6 +46,13 @@ use crate::protocol::{
     ack_line, bye_line, done_line, error_line, pair_line, pong_line, Request, Source,
 };
 use crate::{Backend, PairKey};
+
+/// The longest request line the service reads, in bytes, newline
+/// included. The longest valid request — every preset and every
+/// workload name spelled out — is under 1 KiB; a client that sends more
+/// without a newline gets one error line and its connection closed,
+/// instead of growing the server's memory without bound.
+pub const MAX_REQUEST_LINE: usize = 64 * 1024;
 
 /// Tuning knobs for [`SweepService::start`].
 #[derive(Debug, Clone, Copy)]
@@ -481,15 +488,25 @@ fn connection_loop(
     // Timed reads keep the loop responsive to the shutdown flag.
     let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    let mut line = Vec::new();
     loop {
         if shutdown.load(Ordering::SeqCst) {
             break;
         }
-        match reader.read_line(&mut line) {
+        // Read at most one byte past the cap: enough to tell an
+        // over-long line from a full one without buffering the excess.
+        let room = (MAX_REQUEST_LINE + 1 - line.len()) as u64;
+        match reader.by_ref().take(room).read_until(b'\n', &mut line) {
             Ok(0) => break,
+            Ok(_) if line.len() > MAX_REQUEST_LINE => {
+                let _ = tx.send(error_line(
+                    &format!("request line exceeds {MAX_REQUEST_LINE} bytes; closing connection"),
+                    None,
+                ));
+                break;
+            }
             Ok(_) => {
-                let request = line.trim().to_string();
+                let request = String::from_utf8_lossy(&line).trim().to_string();
                 line.clear();
                 if !request.is_empty()
                     && !handle_request(core, pool, lane, &request, &tx, shutdown, addr)
@@ -498,7 +515,7 @@ fn connection_loop(
                 }
             }
             // A timeout may leave a partial line accumulated in `line`;
-            // the next read_line appends the rest.
+            // the next read_until appends the rest.
             Err(e)
                 if matches!(
                     e.kind(),

@@ -11,7 +11,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use mcm_serve::protocol::report_slice;
-use mcm_serve::service::{ServeOptions, SweepService};
+use mcm_serve::service::{ServeOptions, SweepService, MAX_REQUEST_LINE};
 use mcm_serve::{Backend, PairKey};
 
 /// A manually opened gate that `ScriptedBackend::run` can block on,
@@ -380,6 +380,37 @@ fn oversized_requests_are_rejected_whole() {
     assert_eq!(backend.runs.load(Ordering::SeqCst), 1, "b and c never ran");
     let stats = service.stats();
     assert_eq!(stats.rejections, 1, "{stats:?}");
+}
+
+#[test]
+fn over_long_request_lines_close_only_their_connection() {
+    let backend = Arc::new(ScriptedBackend::new(&["a"], &["w"], None));
+    let service = start(Arc::clone(&backend) as Arc<dyn Backend>, 1, 16);
+    // One byte past the cap and no newline: the server must stop
+    // reading, answer once naming the limit, and hang up.
+    let mut hog = Client::connect(&service);
+    hog.stream
+        .write_all(&vec![b'x'; MAX_REQUEST_LINE + 1])
+        .unwrap();
+    let line = hog.recv();
+    assert!(
+        line.contains("\"error\"") && line.contains(&MAX_REQUEST_LINE.to_string()),
+        "got: {line}"
+    );
+    assert!(
+        hog.drain().is_empty(),
+        "the connection closes after the error"
+    );
+
+    // Another connection is unaffected.
+    let mut client = Client::connect(&service);
+    client.send(&sweep_request(1, &["a"], &["w"]));
+    let lines = client.recv_until_done(1);
+    assert_eq!(lines[0], "{\"ack\":1,\"pairs\":1}");
+    assert!(lines.iter().any(|l| l.contains("\"source\":\"run\"")));
+    client.send("{\"op\":\"shutdown\"}");
+    assert_eq!(client.recv(), "{\"bye\":true}");
+    service.wait();
 }
 
 #[test]

@@ -19,7 +19,7 @@ cd "$(dirname "$0")/.."
 # same work regardless of the caller's shell.
 unset MCM_TRACE MCM_METRICS MCM_METRICS_BUCKET MCM_SCALE MCM_TELEMETRY \
   MCM_FAULT_SEED MCM_FAULT_RATE MCM_STORE MCM_STORE_CRASH_AFTER \
-  MCM_SUPERVISED MCM_RETRIES MCM_FAULT_TASK_PANIC \
+  MCM_RETRIES MCM_FAULT_TASK_PANIC \
   MCM_FAULT_TASK_PANIC_ATTEMPTS 2>/dev/null || true
 export MCM_JOBS=1 MCM_SHARDS=1
 

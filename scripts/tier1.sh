@@ -120,8 +120,7 @@ rm -f "$STORE_DIR/LOCK"
 # sweep completes with byte-identical stdout and a retry notice on
 # stderr. This is the executor's whole contract in one subprocess run.
 echo "== supervised self-healing smoke (scripted panic + retry) =="
-MCM_SCALE=0.01 MCM_JOBS=4 MCM_SHARDS=1 \
-  MCM_SUPERVISED=1 MCM_RETRIES=1 \
+MCM_SCALE=0.01 MCM_JOBS=4 MCM_SHARDS=1 MCM_RETRIES=1 \
   MCM_FAULT_TASK_PANIC=CFD MCM_FAULT_TASK_PANIC_ATTEMPTS=1 \
   target/release/fig09_distributed_sched \
   >"$TELEMETRY_TMP/healed.txt" 2>"$TELEMETRY_TMP/healed.err"
@@ -129,6 +128,27 @@ diff "$TELEMETRY_TMP/off.txt" "$TELEMETRY_TMP/healed.txt" \
   || { echo "tier-1: supervised retry changed harness stdout" >&2; exit 1; }
 grep -q "retrying" "$TELEMETRY_TMP/healed.err" \
   || { echo "tier-1: supervised run did not report the retry" >&2; exit 1; }
+
+# Persistent panic: a pair that fails every attempt (2 failing attempts
+# against 1 + 1 retry) is quarantined, the rest of the sweep completes,
+# and the binary then exits non-zero with a QUARANTINED line naming the
+# pair. The quarantine report must not depend on the job count.
+echo "== persistent-panic drill (quarantine, then exit non-zero) =="
+for jobs in 1 4; do
+  if MCM_SCALE=0.01 MCM_JOBS=$jobs MCM_SHARDS=1 MCM_RETRIES=1 \
+    MCM_FAULT_TASK_PANIC=CFD MCM_FAULT_TASK_PANIC_ATTEMPTS=2 \
+    target/release/fig09_distributed_sched \
+    >/dev/null 2>"$TELEMETRY_TMP/quarantined-$jobs.err"; then
+    echo "tier-1: a persistently panicking pair exited zero (MCM_JOBS=$jobs)" >&2
+    exit 1
+  fi
+  grep '^mcm: exec: QUARANTINED (' "$TELEMETRY_TMP/quarantined-$jobs.err" \
+    >"$TELEMETRY_TMP/quarantined-$jobs.txt" || true
+  grep -q '"CFD")' "$TELEMETRY_TMP/quarantined-$jobs.txt" \
+    || { echo "tier-1: no QUARANTINED line names CFD (MCM_JOBS=$jobs)" >&2; exit 1; }
+done
+diff "$TELEMETRY_TMP/quarantined-1.txt" "$TELEMETRY_TMP/quarantined-4.txt" \
+  || { echo "tier-1: quarantine report depends on MCM_JOBS" >&2; exit 1; }
 
 # Sweep-service smoke: a cold server run (misses + an in-flight
 # duplicate via sweep2's concurrent twin connection) and a warm run
